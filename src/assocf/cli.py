@@ -9,6 +9,7 @@ and thread counts).  Exit codes: 0 success, 1 usage, 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -375,7 +376,10 @@ def _add_common(parser, *, threads=False, seed=False):
         parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
+@functools.cache
 def build_parser():
+    # built on first use, not at import, and kept: building costs more than
+    # answering most queries
     parser = _Parser(prog="assocf", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
 

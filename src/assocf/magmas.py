@@ -275,6 +275,12 @@ class SearchBudgets:
     prepass_samples: int = 100_000
     tuple_space_guard: int = 100_000_000
 
+    def __post_init__(self):
+        if self.eventual_carets < 0:
+            raise ValueError(
+                f"caret budget must be >= 0, got {self.eventual_carets}"
+            )
+
     @staticmethod
     def for_size(size):
         # small tables afford deeper arities
@@ -469,8 +475,10 @@ def satisfies_eventually(
     holds iff the law itself does, and the answer is exact for all budgets.
     Every added caret multiplies the tuple space by |S|, so a deep search on
     a large table explodes; checks beyond tuple_space_guard raise
-    BudgetExceeded instead of running for hours.
+    BudgetExceeded instead of running for hours.  A negative budget raises
+    ValueError, shortcut or not.
     """
+    pairs = trees.expansion_frontier(law.lhs, law.rhs, budget)
     if use_perfection_shortcut and m.simply_perfect:
         ok = bool(satisfies(m, law, threads=threads))
         return EventualResult(
@@ -482,37 +490,24 @@ def satisfies_eventually(
             pairs_checked=1,
         )
     size = len(m)
-    seen = {(law.lhs, law.rhs)}
-    frontier = [(law.lhs, law.rhs, ())]
     checked = 0
-    for level in range(budget + 1):
-        for lhs, rhs, applied in frontier:
-            space = size ** leaf_count(lhs)
-            if tuple_space_guard is not None and space > tuple_space_guard:
-                raise BudgetExceeded(
-                    f"eventual search at {level} added carets needs "
-                    f"{space} tuples per check (guard {tuple_space_guard})"
-                )
-            checked += 1
-            if satisfies(m, Law(lhs, rhs), threads=threads):
-                return EventualResult(
-                    "holds",
-                    law,
-                    True,
-                    witness=ExpansionWord.from_applied(applied),
-                    budget=budget,
-                    pairs_checked=checked,
-                )
-        if level == budget:
-            break
-        grown = []
-        for lhs, rhs, applied in frontier:
-            for i in range(1, leaf_count(lhs) + 1):
-                key = (trees.expand(lhs, i), trees.expand(rhs, i))
-                if key not in seen:
-                    seen.add(key)
-                    grown.append((key[0], key[1], applied + (i,)))
-        frontier = grown
+    for level, lhs, rhs, applied in pairs:
+        space = size ** leaf_count(lhs)
+        if tuple_space_guard is not None and space > tuple_space_guard:
+            raise BudgetExceeded(
+                f"eventual search at {level} added carets needs "
+                f"{space} tuples per check (guard {tuple_space_guard})"
+            )
+        checked += 1
+        if satisfies(m, Law(lhs, rhs), threads=threads):
+            return EventualResult(
+                "holds",
+                law,
+                True,
+                witness=ExpansionWord.from_applied(applied),
+                budget=budget,
+                pairs_checked=checked,
+            )
     return EventualResult(
         "fails-up-to", law, False, budget=budget, pairs_checked=checked
     )

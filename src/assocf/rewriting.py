@@ -14,11 +14,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import thompson, trees
 from .errors import BudgetExceeded, ParseError
 from .magmas import Law, format_law, parse_law
-from .trees import ExpansionWord, format_tree, leaf_count
+from .trees import LEAF, ExpansionWord, format_tree, leaf_count
 
 # BFS state space at n leaves is the Catalan number C(n-1); 14 leaves
 # (742900 trees) is the largest desk-sized slice.
@@ -90,27 +91,66 @@ class RewriteStep:
         return f"at {where}: law #{self.law_index + 1} {arrow}"
 
 
+def _shape(pattern):
+    """The pattern's vertices in preorder: True for a caret, False for a
+    variable."""
+    out = []
+    pending = [pattern]
+    while pending:
+        node = pending.pop()
+        if trees.is_leaf(node):
+            out.append(False)
+        else:
+            out.append(True)
+            pending.append(node[1])
+            pending.append(node[0])
+    return tuple(out)
+
+
+def _capture(shape, t):
+    # Walk t in the preorder of the shape; variables capture whole subtrees.
+    captured = []
+    pending = [t]
+    for caret in shape:
+        sub = pending.pop()
+        if not caret:
+            captured.append(sub)
+        elif sub == LEAF:
+            return None
+        else:
+            pending.append(sub[1])
+            pending.append(sub[0])
+    return tuple(captured)
+
+
+def _graft(reversed_shape, substitution):
+    # Read back to front, the shape meets the last variable and each right
+    # subtree first, so every caret pops its (left, right) children.
+    built = []
+    k = len(substitution)
+    for caret in reversed_shape:
+        if caret:
+            built.append((built.pop(), built.pop()))
+        else:
+            k -= 1
+            built.append(substitution[k])
+    return built[0]
+
+
 def instantiate(pattern, substitution):
     """Graft substitution subtrees onto the pattern's leaves, in order."""
-
-    def rec(node, start):
-        if trees.is_leaf(node):
-            if start >= len(substitution):
-                raise ValueError(
-                    f"pattern needs more than the {len(substitution)} "
-                    "substitution subtrees given"
-                )
-            return substitution[start], start + 1
-        left, after = rec(node[0], start)
-        right, after = rec(node[1], after)
-        return (left, right), after
-
-    built, used = rec(pattern, 0)
+    shape = _shape(pattern)
+    used = shape.count(False)
+    if used > len(substitution):
+        raise ValueError(
+            f"pattern needs more than the {len(substitution)} "
+            "substitution subtrees given"
+        )
     if used != len(substitution):
         raise ValueError(
             f"pattern has {used} variables, substitution has {len(substitution)}"
         )
-    return built
+    return _graft(shape[::-1], substitution)
 
 
 def match(pattern, t):
@@ -118,20 +158,10 @@ def match(pattern, t):
 
     Pattern leaves are variables and match any subtree; pattern carets
     require carets.  Left-to-right capture order matches instantiate.
+    The pattern is read as its preorder shape, the form the rewrite search
+    compiles each law side into once per search.
     """
-    captured = []
-
-    def rec(node, sub):
-        if trees.is_leaf(node):
-            captured.append(sub)
-            return True
-        if trees.is_leaf(sub):
-            return False
-        return rec(node[0], sub[0]) and rec(node[1], sub[1])
-
-    if not rec(pattern, t):
-        return None
-    return tuple(captured)
+    return _capture(_shape(pattern), t)
 
 
 def apply_step(t, step):
@@ -166,31 +196,60 @@ def _preserves_root_split(variety):
     return True
 
 
-def _neighbors(t, variety):
-    """Rewrites of t in canonical order: vertex preorder, then law index,
-    then forward before backward."""
+class _Rule(NamedTuple):
+    """One direction of a law, compiled for the search."""
+
+    src: tuple  # preorder shape of the side that must match
+    dst: tuple  # preorder shape of the side put in its place, reversed
+    law: Law
+    law_index: int
+    forward: bool
+
+
+def _rules(variety):
+    """Every non-trivial law direction, by law index, forward first."""
     out = []
-    for vertex in trees.vertices(t):
-        sub = trees.subtree_at(t, vertex)
-        for law_index, law in enumerate(variety.laws):
-            if law.is_trivial:
-                continue
-            for forward in (True, False):
-                src, dst = (law.lhs, law.rhs) if forward else (law.rhs, law.lhs)
-                captured = match(src, sub)
-                if captured is None:
-                    continue
-                step = RewriteStep(vertex, law, law_index, forward, captured)
-                out.append((trees.replace_at(t, vertex, instantiate(dst, captured)), step))
+    for law_index, law in enumerate(variety.laws):
+        if law.is_trivial:
+            continue
+        for forward in (True, False):
+            src, dst = (law.lhs, law.rhs) if forward else (law.rhs, law.lhs)
+            out.append(
+                _Rule(_shape(src), _shape(dst)[::-1], law, law_index, forward)
+            )
+    return tuple(out)
+
+
+def _rewrites(t, rules, vertex=""):
+    """Every rewrite of t as (new tree, vertex, rule, captured), in canonical
+    order: vertex preorder, then law index, then forward before backward.
+
+    A leaf matches no rule: a non-trivial law has a caret at the root of
+    both sides, since its sides have equal leaf counts.
+    """
+    if t == LEAF:
+        return []
+    out = []
+    for rule in rules:
+        captured = _capture(rule.src, t)
+        if captured is not None:
+            out.append((_graft(rule.dst, captured), vertex, rule, captured))
+    left, right = t
+    out += [
+        ((new, right), at, rule, captured)
+        for new, at, rule, captured in _rewrites(left, rules, vertex + "0")
+    ]
+    out += [
+        ((left, new), at, rule, captured)
+        for new, at, rule, captured in _rewrites(right, rules, vertex + "1")
+    ]
     return out
 
 
-def derivable(p, q, variety, *, leaf_cap=LEAF_CAP, root_split_pruning=False):
-    """Proof (tuple of RewriteStep) rewriting p into q, or None.
+def _search(p, q, variety, rules, leaf_cap, root_split_pruning):
+    """(proof or None, the rewrite class of p when the BFS exhausted it).
 
-    The search space is all trees with p's leaf count, so exhaustion of the
-    reachable class certifies non-derivability at this leaf count (not at
-    expansions; see eventually_derivable).
+    The class is None whenever the answer came without a full BFS.
     """
     if leaf_count(p) != leaf_count(q):
         raise ValueError("derivability needs equal leaf counts")
@@ -204,26 +263,48 @@ def derivable(p, q, variety, *, leaf_cap=LEAF_CAP, root_split_pruning=False):
                 "root-split pruning needs laws that fix the root leaf split"
             )
         if _root_split(p) != _root_split(q):
-            return None
+            return None, None
     if p == q:
-        return ()
+        return (), None
+    # parents[t] is (previous tree, its rewrite into t); steps are built
+    # only for the proof that is returned
     parents = {p: None}
     frontier = deque([p])
     while frontier:
         t = frontier.popleft()
-        for neighbor, step in _neighbors(t, variety):
+        for hop in _rewrites(t, rules):
+            neighbor = hop[0]
             if neighbor in parents:
                 continue
-            parents[neighbor] = (t, step)
+            parents[neighbor] = (t, hop)
             if neighbor == q:
-                steps = []
-                at = neighbor
-                while parents[at] is not None:
-                    at, step = parents[at]
-                    steps.append(step)
-                return tuple(reversed(steps))
+                return _proof(parents, q), None
             frontier.append(neighbor)
-    return None
+    return None, parents
+
+
+def _proof(parents, q):
+    steps = []
+    at = q
+    while parents[at] is not None:
+        at, (_, vertex, rule, captured) = parents[at]
+        steps.append(
+            RewriteStep(vertex, rule.law, rule.law_index, rule.forward, captured)
+        )
+    return tuple(reversed(steps))
+
+
+def derivable(p, q, variety, *, leaf_cap=LEAF_CAP, root_split_pruning=False):
+    """Proof (tuple of RewriteStep) rewriting p into q, or None.
+
+    The search space is all trees with p's leaf count, so exhaustion of the
+    reachable class certifies non-derivability at this leaf count (not at
+    expansions; see eventually_derivable).
+    """
+    proof, _ = _search(
+        p, q, variety, _rules(variety), leaf_cap, root_split_pruning
+    )
+    return proof
 
 
 def format_proof(p, steps):
@@ -259,40 +340,39 @@ def eventually_derivable(
     p, q, variety, budget=3, *, leaf_cap=LEAF_CAP, root_split_pruning=False
 ):
     """Run derivable on every simultaneous expansion of (p, q), breadth
-    first by added carets, up to the budget."""
+    first by added carets, up to the budget.
+
+    A failed search has walked the whole rewrite class of its lhs, so each
+    such class is labelled for the rest of this call: a later pair whose lhs
+    lies in a labelled class and whose rhs does not is answered without a
+    search.  Such an lhs passed the leaf cap when its class was searched.
+    """
     if leaf_count(p) != leaf_count(q):
         raise ValueError("derivability needs equal leaf counts")
-    seen = {(p, q)}
-    frontier = [(p, q, ())]
+    pairs = trees.expansion_frontier(p, q, budget)
+    rules = _rules(variety)
+    labels = {}  # tree -> number of its exhausted rewrite class
+    classes = 0
     checked = 0
-    for level in range(budget + 1):
-        for lhs, rhs, applied in frontier:
-            checked += 1
-            proof = derivable(
-                lhs,
-                rhs,
-                variety,
-                leaf_cap=leaf_cap,
-                root_split_pruning=root_split_pruning,
+    for _, lhs, rhs, applied in pairs:
+        checked += 1
+        label = labels.get(lhs)
+        if label is not None and labels.get(rhs) != label:
+            continue
+        proof, exhausted = _search(
+            lhs, rhs, variety, rules, leaf_cap, root_split_pruning
+        )
+        if proof is not None:
+            return DerivabilityResult(
+                "holds",
+                expansion=ExpansionWord.from_applied(applied),
+                proof=proof,
+                budget=budget,
+                pairs_checked=checked,
             )
-            if proof is not None:
-                return DerivabilityResult(
-                    "holds",
-                    expansion=ExpansionWord.from_applied(applied),
-                    proof=proof,
-                    budget=budget,
-                    pairs_checked=checked,
-                )
-        if level == budget:
-            break
-        grown = []
-        for lhs, rhs, applied in frontier:
-            for i in range(1, leaf_count(lhs) + 1):
-                key = (trees.expand(lhs, i), trees.expand(rhs, i))
-                if key not in seen:
-                    seen.add(key)
-                    grown.append((key[0], key[1], applied + (i,)))
-        frontier = grown
+        if exhausted is not None:
+            classes += 1
+            labels.update(dict.fromkeys(exhausted, classes))
     return DerivabilityResult("fails-up-to", budget=budget, pairs_checked=checked)
 
 

@@ -29,6 +29,11 @@ LEAF = ()
 
 DEFAULT_TREE_CAP = 14
 
+# Deepest literal parse_tree accepts.  Every tree routine recurses once per
+# level, and a tree command adds at most one level (expand, shift), so this
+# leaves half of Python's default recursion limit to the callers.
+PARSE_DEPTH_CAP = 500
+
 
 def is_leaf(t):
     return t == LEAF
@@ -41,40 +46,42 @@ def leaf_count(t):
 
 
 def parse_tree(text):
-    """Parse the "." / "(L R)" literal form. Whitespace is ignored."""
-    pos = 0
-    n = len(text)
+    """Parse the "." / "(L R)" literal form. Whitespace is ignored.
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse():
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise ParseError("unexpected end of tree literal", pos)
-        ch = text[pos]
-        if ch == ".":
-            pos += 1
-            return LEAF
-        if ch == "(":
-            pos += 1
-            left = parse()
-            right = parse()
-            skip_ws()
-            if pos >= n or text[pos] != ")":
+    Nesting deeper than PARSE_DEPTH_CAP raises BudgetExceeded: the other
+    tree routines recurse once per level.
+    """
+    open_carets = []  # children parsed so far of each open caret, innermost last
+    tree = None
+    for pos, ch in enumerate(text):
+        if ch.isspace():
+            continue
+        if tree is not None:
+            raise ParseError("trailing input after tree literal", pos)
+        if open_carets and len(open_carets[-1]) == 2:
+            if ch != ")":
                 raise ParseError("expected ')'", pos)
-            pos += 1
-            return (left, right)
-        raise ParseError(f"unexpected character {ch!r}", pos)
-
-    out = parse()
-    skip_ws()
-    if pos != n:
-        raise ParseError("trailing input after tree literal", pos)
-    return out
+            node = tuple(open_carets.pop())
+        elif ch == "(":
+            if len(open_carets) == PARSE_DEPTH_CAP:
+                raise BudgetExceeded(
+                    f"tree literal nests deeper than {PARSE_DEPTH_CAP} levels"
+                )
+            open_carets.append([])
+            continue
+        elif ch == ".":
+            node = LEAF
+        else:
+            raise ParseError(f"unexpected character {ch!r}", pos)
+        if open_carets:
+            open_carets[-1].append(node)
+        else:
+            tree = node
+    if tree is None:
+        if open_carets and len(open_carets[-1]) == 2:
+            raise ParseError("expected ')'", len(text))
+        raise ParseError("unexpected end of tree literal", len(text))
+    return tree
 
 
 def format_tree(t):
@@ -100,6 +107,38 @@ def _expand(t, i):
     if i <= nl:
         return (_expand(left, i), right)
     return (left, _expand(right, i - nl))
+
+
+def expansion_frontier(lhs, rhs, budget):
+    """Simultaneous expansions of the pair (lhs, rhs), breadth first by
+    added carets: yields (level, lhs', rhs', applied) for every distinct
+    pair within `budget` added carets, where `applied` lists the expanded
+    leaf indices in application order.  Within a level, pairs come in the
+    order of the pairs they grew from, then by leaf index.
+
+    The budget is checked when this is called, not when it is iterated.
+    """
+    if budget < 0:
+        raise ValueError(f"caret budget must be >= 0, got {budget}")
+    return _frontier(lhs, rhs, budget)
+
+
+def _frontier(lhs, rhs, budget):
+    seen = {(lhs, rhs)}
+    frontier = [(lhs, rhs, ())]
+    for level in range(budget + 1):
+        for lhs, rhs, applied in frontier:
+            yield level, lhs, rhs, applied
+        if level == budget:
+            return
+        grown = []
+        for lhs, rhs, applied in frontier:
+            for i in range(1, leaf_count(lhs) + 1):
+                key = (expand(lhs, i), expand(rhs, i))
+                if key not in seen:
+                    seen.add(key)
+                    grown.append((key[0], key[1], applied + (i,)))
+        frontier = grown
 
 
 def shift(t, side):

@@ -6,15 +6,21 @@ code, and exact stdout; the suite replays each one, then re-runs it with
 Error paths pin the exit-code contract: 1 usage, 2 bad input, 3 budget.
 """
 
+import contextlib
+import io
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assocf import cli
 from assocf.magmas import load_magma
+from assocf.trees import PARSE_DEPTH_CAP, format_tree, random_tree
 from assocf.zoo import BUILTINS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -180,3 +186,156 @@ def test_status_budget_flag(capsys):
     )
     assert code == 0
     assert out == "FullF(solvable)\n"
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once and reused
+
+
+def test_parser_is_built_once_and_survives_usage_errors(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.run(["tree", "expand", "(. .)", "not-a-number"]) == 1
+    capsys.readouterr()
+    code, out = run_capture(["tree", "expand", "(. .)", "2"], capsys)
+    assert (code, out) == (0, "(. (. .))\n")
+
+
+# ---------------------------------------------------------------------------
+# caret budgets
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variety", "member", "fixtures/x1_law.variety", "x0", "--budget", "-2"],
+        ["magma", "eventual", "fixtures/s3_commutator.magma", ASSOC, "--budget", "-1"],
+        ["magma", "eventual", "fixtures/z4_addition.magma", ASSOC, "--budget", "-1"],
+        ["magma", "status", "fixtures/s4.magma", "--budget", "-1"],
+    ],
+    ids=["variety-member", "magma-eventual", "magma-eventual-perfect", "magma-status"],
+)
+def test_negative_caret_budgets_exit_2(argv, capsys):
+    code, out = run_capture(argv, capsys)
+    assert code == 2
+    assert out == "error: caret budget must be >= 0, got %s\n" % argv[-1]
+
+
+# ---------------------------------------------------------------------------
+# deep tree literals
+
+
+def left_comb_literal(depth):
+    return "(" * depth + "." + " .)" * depth
+
+
+TREE_COMMANDS = {
+    "parse": lambda t: ["tree", "parse", t],
+    "reflect": lambda t: ["tree", "reflect", t],
+    "expand-first": lambda t: ["tree", "expand", t, "1"],
+    "expand-last": lambda t: ["tree", "expand", t, str(PARSE_DEPTH_CAP + 1)],
+    "shift-left": lambda t: ["tree", "shift", t, "left"],
+    "shift-right": lambda t: ["tree", "shift", t, "right"],
+    "join": lambda t: ["tree", "join", t, t],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TREE_COMMANDS))
+def test_tree_commands_answer_at_the_depth_cap(command, capsys):
+    code, out = run_capture(
+        TREE_COMMANDS[command](left_comb_literal(PARSE_DEPTH_CAP)) + ["--json"],
+        capsys,
+    )
+    assert code == 0
+    leaves = json.loads(out)["payload"]["leaves"]
+    assert leaves in (PARSE_DEPTH_CAP + 1, PARSE_DEPTH_CAP + 2)
+
+
+@pytest.mark.parametrize("command", sorted(TREE_COMMANDS))
+def test_tree_commands_reject_literals_past_the_depth_cap(command, capsys):
+    argv = TREE_COMMANDS[command](left_comb_literal(PARSE_DEPTH_CAP + 1))
+    code, captured = cli.run(argv), capsys.readouterr()
+    assert code == 3
+    assert captured.out.startswith("budget exhausted: tree literal nests deeper")
+    assert "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on generated argv
+
+GOOD_TREES = st.integers(1, 6).flatmap(
+    lambda n: st.integers(0, 2**16).map(
+        lambda s: format_tree(random_tree(random.Random(s), n))
+    )
+)
+BAD_TREES = st.sampled_from(
+    ["", "(", "(. .", "(. .))", "x", "(. y)", ")(", "((. .) .) ."]
+)
+DEEP_TREES = st.integers(PARSE_DEPTH_CAP - 1, PARSE_DEPTH_CAP + 1).map(
+    left_comb_literal
+)
+SHALLOW_TREES = GOOD_TREES | BAD_TREES
+TREES = GOOD_TREES | BAD_TREES | DEEP_TREES
+WORDS = st.lists(
+    st.tuples(st.sampled_from(["x0", "x1", "x2"]), st.integers(-3, 3)),
+    min_size=1,
+    max_size=4,
+).map(lambda factors: "*".join(f"{g}^{e}" for g, e in factors)) | st.sampled_from(
+    ["[x0,x1]", "x0 +", "x9", "x0^", "[x0", "", "pair (. .) (. .)", "pair (. .)"]
+)
+BUDGETS = st.integers(-3, 2).map(str)
+SMALL_INTS = st.integers(-2, 5).map(str)
+MAGMAS = st.sampled_from(
+    [
+        "fixtures/z4_addition.magma",
+        "fixtures/s3_commutator.magma",
+        "fixtures/s4.magma",
+        "fixtures/octonion_units.magma",
+        "no_such_file.magma",
+    ]
+)
+VARIETIES = st.sampled_from(
+    ["fixtures/x1_law.variety", "fixtures/associativity.variety", "no_such.variety"]
+)
+LAWS = st.sampled_from(
+    [ASSOC, "(. ((. .) .)) = (. (. (. .)))", "(. .) = .", "((. .) .) =", "= ."]
+)
+TOKENS = st.sampled_from(
+    ["tree", "f", "magma", "variety", "zoo", "parse", "word", "--budget", "-1",
+     "--json", "(. .)", "x0", "fixtures/s4.magma", "status", "member", "--cap"]
+)
+
+
+def argv_of(*parts):
+    return st.tuples(
+        *(st.just(p) if isinstance(p, str) else p for p in parts)
+    ).map(list)
+
+
+ARGV = st.one_of(
+    argv_of("tree", st.sampled_from(["parse", "reflect"]), TREES),
+    argv_of("tree", "expand", TREES, SMALL_INTS),
+    argv_of("tree", "shift", TREES, st.sampled_from(["left", "right", "up"])),
+    argv_of("tree", "join", TREES, TREES),
+    argv_of("f", st.sampled_from(["word", "inv", "ab", "shifts", "pl"]), WORDS),
+    argv_of("f", "mul", WORDS, WORDS),
+    argv_of("f", "reduce", SHALLOW_TREES, SHALLOW_TREES),
+    argv_of("f", "normal-member", WORDS, SMALL_INTS, SMALL_INTS),
+    argv_of("magma", "eventual", MAGMAS, LAWS, "--budget", BUDGETS),
+    argv_of("magma", "status", MAGMAS, "--budget", BUDGETS),
+    argv_of("magma", "check", MAGMAS, LAWS),
+    argv_of("magma", "image", MAGMAS, GOOD_TREES.filter(lambda t: t.count(".") <= 4)),
+    argv_of("variety", "derivable", VARIETIES, TREES, TREES),
+    argv_of("variety", "member", VARIETIES, WORDS, "--budget", BUDGETS),
+    argv_of("zoo", "emit", st.sampled_from(sorted(BUILTINS) + ["nope"])),
+    st.lists(TOKENS, max_size=6),
+)
+
+
+@settings(max_examples=150)
+@given(ARGV, st.booleans())
+def test_cli_keeps_the_exit_code_contract(argv, as_json):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv + (["--json"] if as_json else []))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

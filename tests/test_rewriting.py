@@ -2,9 +2,10 @@
 
 import itertools
 import random
+from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assocf import plmaps, rewriting, thompson as th, trees, zoo
@@ -103,8 +104,10 @@ def test_match_rejects_shallow_targets():
 
 
 def test_instantiate_validates_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs more than the 1"):
         instantiate(trees.parse_tree("(. .)"), (trees.LEAF,))
+    with pytest.raises(ValueError, match="has 2 variables, substitution has 3"):
+        instantiate(trees.parse_tree("(. .)"), (trees.LEAF,) * 3)
 
 
 # --- single steps ---------------------------------------------------------------------
@@ -263,6 +266,240 @@ def test_eventually_derivable_holds_immediately_for_derivable_pairs():
     assert res
     assert res.expansion == trees.ExpansionWord(())
     assert res.pairs_checked == 1
+
+
+def test_eventually_derivable_searches_each_class_once(monkeypatch):
+    # of the 101 expanded pairs of R1/R2 at 3 carets, only the 26 whose lhs
+    # lies in no class walked before run a BFS
+    searches = []
+    search = rewriting._search
+
+    def counted(p, q, *args):
+        searches.append(p)
+        return search(p, q, *args)
+
+    monkeypatch.setattr(rewriting, "_search", counted)
+    res = eventually_derivable(R1, R2, X1_VARIETY, 3)
+    assert (res.kind, res.pairs_checked) == ("fails-up-to", 101)
+    assert len(searches) == 26
+
+
+def test_eventually_derivable_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="caret budget"):
+        eventually_derivable(R1, R2, X1_VARIETY, -1)
+
+
+# --- reference search -------------------------------------------------------------
+#
+# The search as first written: every vertex re-walked from the root, a
+# recursive matcher and grafter, a RewriteStep per neighbour, and a fresh
+# BFS for every expanded pair.  The fast search must agree with it exactly.
+
+TWO_LAWS = VarietyPresentation(
+    (X1_LAW, parse_law("(((. .) .) .) = ((. .) (. .))"))
+)
+VARIETIES = {"assoc": ASSOC, "x1": X1_VARIETY, "two-law": TWO_LAWS}
+
+
+def reference_match(pattern, t):
+    captured = []
+
+    def rec(node, sub):
+        if trees.is_leaf(node):
+            captured.append(sub)
+            return True
+        if trees.is_leaf(sub):
+            return False
+        return rec(node[0], sub[0]) and rec(node[1], sub[1])
+
+    return tuple(captured) if rec(pattern, t) else None
+
+
+def reference_instantiate(pattern, substitution):
+    leaves = iter(substitution)
+
+    def rec(node):
+        if trees.is_leaf(node):
+            return next(leaves)
+        return (rec(node[0]), rec(node[1]))
+
+    return rec(pattern)
+
+
+def reference_neighbors(t, variety):
+    out = []
+    for vertex in trees.vertices(t):
+        sub = trees.subtree_at(t, vertex)
+        for law_index, law in enumerate(variety.laws):
+            if law.is_trivial:
+                continue
+            for forward in (True, False):
+                src, dst = (law.lhs, law.rhs) if forward else (law.rhs, law.lhs)
+                captured = reference_match(src, sub)
+                if captured is None:
+                    continue
+                step = RewriteStep(vertex, law, law_index, forward, captured)
+                grown = reference_instantiate(dst, captured)
+                out.append((trees.replace_at(t, vertex, grown), step))
+    return out
+
+
+def reference_derivable(p, q, variety, root_split_pruning=False):
+    if root_split_pruning and rewriting._root_split(p) != rewriting._root_split(q):
+        return None
+    if p == q:
+        return ()
+    parents = {p: None}
+    frontier = deque([p])
+    while frontier:
+        t = frontier.popleft()
+        for neighbor, step in reference_neighbors(t, variety):
+            if neighbor in parents:
+                continue
+            parents[neighbor] = (t, step)
+            if neighbor == q:
+                steps = []
+                at = neighbor
+                while parents[at] is not None:
+                    at, step = parents[at]
+                    steps.append(step)
+                return tuple(reversed(steps))
+            frontier.append(neighbor)
+    return None
+
+
+def reference_eventually_derivable(p, q, variety, budget, root_split_pruning=False):
+    seen = {(p, q)}
+    frontier = [(p, q, ())]
+    checked = 0
+    for level in range(budget + 1):
+        for lhs, rhs, applied in frontier:
+            checked += 1
+            proof = reference_derivable(lhs, rhs, variety, root_split_pruning)
+            if proof is not None:
+                expansion = trees.ExpansionWord.from_applied(applied)
+                return ("holds", expansion, proof, checked)
+        if level == budget:
+            break
+        grown = []
+        for lhs, rhs, applied in frontier:
+            for i in range(1, trees.leaf_count(lhs) + 1):
+                key = (trees.expand(lhs, i), trees.expand(rhs, i))
+                if key not in seen:
+                    seen.add(key)
+                    grown.append((key[0], key[1], applied + (i,)))
+        frontier = grown
+    return ("fails-up-to", None, None, checked)
+
+
+def fast_neighbors(t, variety):
+    return [
+        (grown, RewriteStep(vertex, rule.law, rule.law_index, rule.forward, captured))
+        for grown, vertex, rule, captured in rewriting._rewrites(
+            t, rewriting._rules(variety)
+        )
+    ]
+
+
+def sized_trees(lo, hi):
+    return st.integers(lo, hi).flatmap(
+        lambda n: st.tuples(st.integers(0, 2**31), st.integers(0, 2**31)).map(
+            lambda seeds: tuple(
+                trees.random_tree(random.Random(s), n) for s in seeds
+            )
+        )
+    )
+
+
+@given(st.sampled_from(sorted(VARIETIES)), sized_trees(1, 9))
+def test_neighbors_match_the_reference(name, pair):
+    variety = VARIETIES[name]
+    for t in pair:
+        assert fast_neighbors(t, variety) == reference_neighbors(t, variety)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(VARIETIES)), sized_trees(1, 8))
+def test_derivable_proofs_match_the_reference(name, pair):
+    variety = VARIETIES[name]
+    p, q = pair
+    assert derivable(p, q, variety) == reference_derivable(p, q, variety)
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from(sorted(VARIETIES)),
+    sized_trees(1, 5),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_eventually_derivable_matches_the_reference(name, pair, budget, prune):
+    variety = VARIETIES[name]
+    p, q = pair
+    prune = prune and name == "x1"  # the only variety here that fixes root splits
+    res = eventually_derivable(p, q, variety, budget, root_split_pruning=prune)
+    expected = reference_eventually_derivable(p, q, variety, budget, prune)
+    assert (res.kind, res.expansion, res.proof, res.pairs_checked) == expected
+
+
+def random_laws(seeds):
+    laws = []
+    for n, a, b in seeds:
+        lhs = trees.random_tree(random.Random(a), n)
+        rhs = trees.random_tree(random.Random(b), n)
+        laws.append(Law(lhs, rhs))
+    return VarietyPresentation(tuple(laws))
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(
+        st.tuples(st.integers(3, 5), st.integers(0, 2**31), st.integers(0, 2**31)),
+        min_size=1,
+        max_size=2,
+    ).map(random_laws),
+    sized_trees(2, 5),
+    st.integers(0, 2),
+)
+def test_eventually_derivable_matches_the_reference_on_random_laws(
+    variety, pair, budget
+):
+    p, q = pair
+    res = eventually_derivable(p, q, variety, budget)
+    expected = reference_eventually_derivable(p, q, variety, budget)
+    assert (res.kind, res.expansion, res.proof, res.pairs_checked) == expected
+
+
+def test_a_pair_inside_a_labelled_class_is_still_searched():
+    # b[2] fails and labels the class of the law's two sides; b[4] expands
+    # the pair onto exactly those sides, so it holds inside that class
+    variety = VarietyPresentation(
+        (parse_law("((. .) (. (. .))) = ((. (. .)) (. .))"),)
+    )
+    p, q = trees.parse_tree("((. .) (. .))"), trees.parse_tree("((. (. .)) .)")
+    res = eventually_derivable(p, q, variety, 1)
+    assert (res.kind, res.expansion, res.pairs_checked) == (
+        "holds",
+        trees.ExpansionWord((4,)),
+        5,
+    )
+    expected = reference_eventually_derivable(p, q, variety, 1)
+    assert (res.kind, res.expansion, res.proof, res.pairs_checked) == expected
+
+
+@pytest.mark.parametrize("name", sorted(VARIETIES))
+def test_eventually_derivable_matches_the_reference_on_all_5_leaf_pairs(name):
+    variety = VARIETIES[name]
+    for p, q in itertools.combinations(trees.enumerate_trees(5), 2):
+        res = eventually_derivable(p, q, variety, 2)
+        expected = reference_eventually_derivable(p, q, variety, 2)
+        assert (res.kind, res.expansion, res.proof, res.pairs_checked) == expected
+
+
+def test_eventually_derivable_matches_the_reference_on_the_example_pair():
+    res = eventually_derivable(R1, R2, X1_VARIETY, 3)
+    expected = reference_eventually_derivable(R1, R2, X1_VARIETY, 3)
+    assert (res.kind, res.expansion, res.proof, res.pairs_checked) == expected
 
 
 # --- shifts and closure ---------------------------------------------------------------------

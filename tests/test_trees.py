@@ -16,6 +16,7 @@ from assocf.trees import (
     complete_tree,
     enumerate_trees,
     expand,
+    expansion_frontier,
     expansion_path,
     format_tree,
     free_carets,
@@ -78,6 +79,24 @@ def test_parse_error_carries_location():
 
 def test_parse_accepts_loose_whitespace():
     assert parse_tree("  ( .   ( . . ) ) ") == (LEAF, (LEAF, LEAF))
+
+
+def left_comb_literal(depth):
+    return "(" * depth + "." + " .)" * depth
+
+
+def test_parse_accepts_literals_at_the_depth_cap():
+    t = parse_tree(left_comb_literal(trees.PARSE_DEPTH_CAP))
+    assert leaf_count(t) == trees.PARSE_DEPTH_CAP + 1
+    assert trees.leftmost_leaf_depth(t) == trees.PARSE_DEPTH_CAP
+
+
+def test_parse_rejects_literals_past_the_depth_cap():
+    with pytest.raises(BudgetExceeded):
+        parse_tree(left_comb_literal(trees.PARSE_DEPTH_CAP + 1))
+    # the cap is on nesting, not on size
+    wide = parse_tree(format_tree(random_tree(random.Random(3), 3000)))
+    assert leaf_count(wide) == 3000
 
 
 # --- counting ----------------------------------------------------------------
@@ -273,6 +292,27 @@ def test_expansion_path_recovers_applied_word(base, letters):
     word = expansion_path(target, base)
     assert word is not None
     assert word.apply(base) == target
+
+
+def test_expansion_frontier_is_breadth_first_and_distinct():
+    t = parse_tree("(. .)")
+    listed = list(expansion_frontier(t, t, 2))
+    assert [level for level, *_ in listed] == [0, 1, 1, 2, 2, 2, 2, 2]
+    assert listed[0] == (0, t, t, ())
+    for level, lhs, rhs, applied in listed:
+        assert len(applied) == level
+        assert ExpansionWord.from_applied(applied).apply(t) == lhs == rhs
+    pairs = [(lhs, rhs) for _, lhs, rhs, _ in listed]
+    assert len(set(pairs)) == len(pairs)
+    # level 2 holds each 4-leaf tree once, in the order it grew; (2, 1)
+    # repeats (1, 3)
+    assert [a for *_, a in listed[3:]] == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
+
+
+def test_expansion_frontier_rejects_a_negative_budget_when_called():
+    with pytest.raises(ValueError, match="caret budget"):
+        expansion_frontier(LEAF, LEAF, -1)
+    assert list(expansion_frontier(LEAF, LEAF, 0)) == [(0, LEAF, LEAF, ())]
 
 
 def test_expansion_path_none_when_not_an_expansion():
