@@ -23,7 +23,6 @@ class RunConfig:
     budget: int | None
     arity_cap: int | None
     threads: int
-    seed: int
 
 
 def parse_args(argv):
@@ -37,13 +36,12 @@ def parse_args(argv):
     parser.add_argument("--budget", type=int, default=None, help="max added carets")
     parser.add_argument("--arity-cap", type=int, default=None)
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     names = tuple(args.only) if args.only else tuple(sorted(zoo.BUILTINS))
     unknown = [n for n in names if n not in zoo.BUILTINS]
     if unknown:
         parser.error(f"unknown builtin(s): {', '.join(unknown)}")
-    return RunConfig(names, args.budget, args.arity_cap, args.threads, args.seed)
+    return RunConfig(names, args.budget, args.arity_cap, args.threads)
 
 
 def budgets_for(m, cfg):
@@ -78,9 +76,7 @@ def main(argv=None):
     for name in cfg.names:
         m = zoo.BUILTINS[name]()
         start = time.perf_counter()
-        status = magmas.assoc_status(
-            m, budgets_for(m, cfg), seed=cfg.seed, threads=cfg.threads
-        )
+        status = magmas.assoc_status(m, budgets_for(m, cfg), threads=cfg.threads)
         elapsed = time.perf_counter() - start
         print(
             f"{name:<{width}}  |S|={len(m.elements):<3} "

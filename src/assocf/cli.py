@@ -19,8 +19,6 @@ from .errors import BudgetExceeded, ParseError
 from .magmas import format_law, parse_law
 from .trees import format_tree, parse_tree
 
-DEFAULT_SEED = 0
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
@@ -257,25 +255,21 @@ def _cmd_magma(args):
             budgets = magmas.SearchBudgets(
                 eventual_carets=args.budget,
                 law_arity_cap=budgets.law_arity_cap,
-                prepass_samples=budgets.prepass_samples,
                 tuple_space_guard=budgets.tuple_space_guard,
             )
         if args.arity_cap is not None:
             budgets = magmas.SearchBudgets(
                 eventual_carets=budgets.eventual_carets,
                 law_arity_cap=args.arity_cap,
-                prepass_samples=budgets.prepass_samples,
                 tuple_space_guard=budgets.tuple_space_guard,
             )
-        status = magmas.assoc_status(
-            m, budgets, seed=args.seed, threads=args.threads
-        )
+        status = magmas.assoc_status(m, budgets, threads=args.threads)
         return CommandResult(
             "ok", status.as_payload(), text=_format_status(status)
         )
     if args.action == "search":
         laws = magmas.search_laws(
-            m, args.arity, seed=args.seed, threads=args.threads, force=args.force
+            m, args.arity, threads=args.threads, force=args.force
         )
         payload = {"arity": args.arity, "laws": [format_law(law) for law in laws]}
         text = "\n".join(format_law(law) for law in laws) or "no laws"
@@ -368,12 +362,10 @@ def _cmd_zoo(args):
     )
 
 
-def _add_common(parser, *, threads=False, seed=False):
+def _add_common(parser, *, threads=False):
     parser.add_argument("--json", action="store_true", help="structured output")
     if threads:
         parser.add_argument("--threads", type=int, default=1)
-    if seed:
-        parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
 @functools.cache
@@ -458,12 +450,12 @@ def build_parser():
     sub.add_argument("file")
     sub.add_argument("--budget", type=int, default=None, help="max added carets")
     sub.add_argument("--arity-cap", type=int, default=None)
-    _add_common(sub, threads=True, seed=True)
+    _add_common(sub, threads=True)
     sub = magma.add_parser("search")
     sub.add_argument("file")
     sub.add_argument("arity", type=int)
     sub.add_argument("--force", action="store_true", help="ignore the cost guard")
-    _add_common(sub, threads=True, seed=True)
+    _add_common(sub, threads=True)
     sub = magma.add_parser("centralizer")
     sub.add_argument("file")
     sub.add_argument("zero")

@@ -8,13 +8,18 @@ construction), and the functions below decide law satisfaction exhaustively,
 search for laws, detect solvability through the derived chain, and assemble
 the associativity-spectrum classifier.
 
-Sweeps over tuple spaces are vectorized with numpy and run blockwise in
-canonical (lexicographic) order, so the first counterexample reported is
-deterministic regardless of block size or worker count.
+Sweeps over tuple spaces are vectorized with numpy and run blockwise.  A
+counterexample sweep reads its blocks in canonical (lexicographic) order, so
+the first counterexample reported is deterministic regardless of block size
+or worker count; a check that needs only the verdict partitions trees by
+value, in any block order.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -26,6 +31,10 @@ from .errors import BudgetExceeded, ParseError
 from .trees import ExpansionWord, leaf_count
 
 _BLOCK_ELEMENTS = 1 << 24
+# Tuples per block when trees are partitioned by value: numpy's per-call
+# cost is still small at this size, and a space of many blocks is visited
+# in spread order, so trees that differ somewhere part within a few blocks.
+_PARTITION_BLOCK = 1 << 16
 
 
 def _dtype_for(size):
@@ -121,15 +130,9 @@ class Magma:
 
     @cached_property
     def _derived(self):
-        current = tuple(range(len(self.elements)))
-        chain = [current]
-        while True:
-            sub = self.table[np.ix_(current, current)]
-            nxt = tuple(int(v) for v in np.unique(sub))
-            if nxt == current:
-                break
+        chain = [tuple(range(len(self.elements)))]
+        while (nxt := _product_image(self.table, chain[-1], chain[-1])) != chain[-1]:
             chain.append(nxt)
-            current = nxt
         return DerivedChain(
             tuple(tuple(self.elements[i] for i in level) for level in chain)
         )
@@ -272,7 +275,6 @@ class SolvabilityWitness:
 class SearchBudgets:
     eventual_carets: int = 6
     law_arity_cap: int = 4
-    prepass_samples: int = 100_000
     tuple_space_guard: int = 100_000_000
 
     def __post_init__(self):
@@ -334,17 +336,7 @@ def evaluate(m, tree, args):
     if len(args) != leaf_count(tree):
         raise ValueError("argument count must match leaf count")
     idx = [m.index(a) for a in args]
-    table = m.table
-
-    def rec(node, start):
-        if trees.is_leaf(node):
-            return idx[start], start + 1
-        left, after = rec(node[0], start)
-        right, after = rec(node[1], after)
-        return int(table[left, right]), after
-
-    value, _ = rec(tree, 0)
-    return m.elements[value]
+    return m.elements[int(_tree_values(m.table, tree, idx))]
 
 
 def _tree_values(table, tree, leaf_arrays):
@@ -362,82 +354,122 @@ def _tree_values(table, tree, leaf_arrays):
     return value
 
 
-def _block_axes(size, prefix_vars, suffix_vars, dtype, lo, hi):
-    """Axes for one block: prefix variables flattened into axis 0 as the
-    combo range [lo, hi), suffix variables as full broadcast axes."""
-    width = hi - lo
-    lead = [1] * suffix_vars
+def _product_image(table, left, right):
+    """op(A x B) for sorted index tuples A and B, as a sorted index tuple."""
+    return tuple(int(v) for v in np.unique(table[np.ix_(left, right)]))
+
+
+def _layout(domains, budget):
+    """Blocks of at most `budget` tuples over `domains`, the sorted index
+    array of each variable.  The trailing variables whose joint size fits
+    (at least one) get full broadcast axes, and a block is a range [lo, hi)
+    of combos of the leading ones, so blocks in order visit the tuples in
+    lexicographic order.  Returns the number of leading variables and the
+    blocks."""
+    sizes = [len(d) for d in domains]
+    prefix_vars = len(sizes) - 1
+    while prefix_vars and math.prod(sizes[prefix_vars - 1 :]) <= budget:
+        prefix_vars -= 1
+    combos = math.prod(sizes[:prefix_vars])
+    step = max(1, budget // math.prod(sizes[prefix_vars:]))
+    blocks = [(lo, min(lo + step, combos)) for lo in range(0, combos, step)]
+    return prefix_vars, blocks
+
+
+def _block_axes(domains, prefix_vars, lo, hi):
+    """Leaf arrays for the block [lo, hi) of _layout."""
     axes = []
     if prefix_vars:
-        coords = np.unravel_index(np.arange(lo, hi), (size,) * prefix_vars)
-        axes = [c.astype(dtype).reshape([width] + lead) for c in coords]
-    for j in range(suffix_vars):
-        shape = [1] * (1 + suffix_vars)
-        shape[1 + j] = size
-        axes.append(np.arange(size, dtype=dtype).reshape(shape))
-    return axes
+        sizes = [len(d) for d in domains[:prefix_vars]]
+        shape = [hi - lo] + [1] * (len(domains) - prefix_vars)
+        coords = np.unravel_index(np.arange(lo, hi), sizes)
+        axes = [d[c].reshape(shape) for d, c in zip(domains, coords)]
+    return axes + list(np.ix_(range(1), *domains[prefix_vars:])[1:])
 
 
-def _first_mismatch(m, lhs, rhs, threads=1):
-    """First tuple (in lexicographic element order) where the trees disagree,
-    or None.
+def _in_waves(run, blocks, threads):
+    """run(block) for every block, yielded in block order; with threads > 1,
+    dispatched in waves of `threads` blocks."""
+    if threads <= 1:
+        yield from map(run, blocks)
+        return
+    blocks = iter(blocks)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        while wave := list(itertools.islice(blocks, threads)):
+            yield from pool.map(run, wave)
 
-    The trailing d variables get full broadcast axes with size^d bounded by
-    the block budget, and the leading n-d variables are flattened onto axis 0
-    in lexicographic combo order, so block memory stays bounded for any
-    arity and C-order scanning is globally canonical.  With threads > 1
-    blocks are dispatched in waves and read back in order, keeping the
-    answer deterministic.
-    """
-    n = leaf_count(lhs)
-    size = len(m)
-    dtype = _dtype_for(size)
-    table = m.table
-    suffix_vars = 1
-    while suffix_vars < n and size ** (suffix_vars + 1) <= _BLOCK_ELEMENTS:
-        suffix_vars += 1
-    prefix_vars = n - suffix_vars
-    combos = size**prefix_vars
-    per_block = max(1, _BLOCK_ELEMENTS // size**suffix_vars)
-    blocks = [
-        (lo, min(lo + per_block, combos)) for lo in range(0, combos, per_block)
-    ]
+
+def _spread(count):
+    """0..count-1 in bit-reversed order, lazily: every prefix of the order
+    is spread evenly over the range."""
+    bits = (count - 1).bit_length()
+    for i in range(1 << bits):
+        j = int(f"{i:0{bits}b}"[::-1], 2)
+        if j < count:
+            yield j
+
+
+def _partition(table, shapes, domains, threads=1):
+    """Classes, of two or more indices into `shapes`, of trees that agree on
+    every tuple over the domains.  Each tree is evaluated once per block and
+    classes split as blocks disagree, until every tree is alone.  The result
+    does not depend on block order, so blocks of at most _PARTITION_BLOCK
+    tuples (and _BLOCK_ELEMENTS values over all trees) go in spread order."""
+    budget = min(_PARTITION_BLOCK, _BLOCK_ELEMENTS // len(shapes))
+    prefix_vars, blocks = _layout(domains, budget)
+    classes = [range(len(shapes))]
 
     def run(block):
-        lo, hi = block
-        axes = _block_axes(size, prefix_vars, suffix_vars, dtype, lo, hi)
-        mismatch = _tree_values(table, lhs, axes) != _tree_values(table, rhs, axes)
-        if not mismatch.any():
-            return None
-        flat = int(np.argmax(mismatch))
-        at = np.unravel_index(flat, mismatch.shape)
-        prefix = (
-            np.unravel_index(lo + int(at[0]), (size,) * prefix_vars)
-            if prefix_vars
-            else ()
-        )
-        return tuple(int(v) for v in prefix) + tuple(int(v) for v in at[1:])
+        axes = _block_axes(domains, prefix_vars, *block)
+        live = [t for c in classes for t in c]
+        return {t: _tree_values(table, shapes[t], axes).tobytes() for t in live}
 
-    if threads <= 1:
-        for block in blocks:
-            found = run(block)
-            if found is not None:
-                return found
-        return None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, len(blocks), threads):
-            for found in pool.map(run, blocks[start : start + threads]):
-                if found is not None:
-                    return found
-    return None
+    # a block evaluated while `classes` was coarser still covers every tree
+    # in the classes current when it is read back
+    spread = (blocks[i] for i in _spread(len(blocks)))
+    for values in _in_waves(run, spread, threads):
+        split = defaultdict(list)
+        for k, c in enumerate(classes):
+            for t in c:
+                split[k, values[t]].append(t)
+        classes = [c for c in split.values() if len(c) > 1]
+        if not classes:
+            break
+    return classes
+
+
+def _agree(m, law, domains, threads=1):
+    """Whether the law holds on every tuple over the domains, given as
+    sorted element indices."""
+    domains = [np.asarray(d, dtype=m.table.dtype) for d in domains]
+    return bool(_partition(m.table, (law.lhs, law.rhs), domains, threads))
+
+
+def _whole(m, n):
+    """Domains for a sweep over all |S|^n tuples."""
+    return [np.arange(len(m), dtype=m.table.dtype)] * n
 
 
 def satisfies(m, law, *, threads=1):
-    """Exhaustive check of a law over all |S|^n tuples, early exit."""
-    found = _first_mismatch(m, law.lhs, law.rhs, threads=threads)
-    if found is None:
+    """Exhaustive check of a law over all |S|^n tuples, early exit.  Blocks
+    of at most _BLOCK_ELEMENTS tuples are read in lexicographic order, so
+    the counterexample is the first one for any thread count."""
+    domains = _whole(m, law.arity)
+    prefix_vars, blocks = _layout(domains, _BLOCK_ELEMENTS)
+    table, lhs, rhs = m.table, law.lhs, law.rhs
+
+    def run(block):
+        axes = _block_axes(domains, prefix_vars, *block)
+        mismatch = _tree_values(table, lhs, axes) != _tree_values(table, rhs, axes)
+        if mismatch.any():
+            at = np.unravel_index(int(np.argmax(mismatch)), mismatch.shape)
+            prefix = np.unravel_index(block[0] + int(at[0]), (len(m),) * prefix_vars)
+            return tuple(m.elements[int(i)] for i in (*prefix, *at[1:]))
+
+    found = (f for f in _in_waves(run, blocks, threads) if f is not None)
+    names = next(found, None)
+    if names is None:
         return LawCheck(law, True)
-    names = tuple(m.elements[i] for i in found)
     return LawCheck(
         law,
         False,
@@ -445,18 +477,6 @@ def satisfies(m, law, *, threads=1):
         lhs_value=evaluate(m, law.lhs, names),
         rhs_value=evaluate(m, law.rhs, names),
     )
-
-
-def expansion_monotone_check(m, law, word, *, threads=1):
-    """Holding laws stay true under simultaneous expansion; check one case.
-
-    Requires the base law to hold; returns the expanded law's check, which
-    is guaranteed true (a held law transfers to every simultaneous
-    expansion, since the expanded sides evaluate through the originals).
-    """
-    if not satisfies(m, law, threads=threads):
-        raise ValueError("expansion monotonicity requires a law that holds")
-    return bool(satisfies(m, law.expand_both(word), threads=threads))
 
 
 def satisfies_eventually(
@@ -471,25 +491,37 @@ def satisfies_eventually(
     """Search simultaneous expansions of the law, at most `budget` added
     carets per side, breadth-first so witnesses are caret-minimal.
 
-    For a simply perfect magma the search is unnecessary: some expansion
-    holds iff the law itself does, and the answer is exact for all budgets.
-    Every added caret multiplies the tuple space by |S|, so a deep search on
-    a large table explodes; checks beyond tuple_space_guard raise
-    BudgetExceeded instead of running for hours.  A negative budget raises
-    ValueError, shortcut or not.
+    An expansion grafts the same tree T_j at leaf j of both sides, so it
+    holds iff the law holds on the product of the images Im(T_j), where
+    Im(leaf) = S and Im((L R)) = op(Im L x Im R): one sweep of at most |S|^n
+    tuples per distinct tuple of images, for arity n.  For a simply perfect
+    magma every image is S, so the law itself decides, exactly.
+
+    tuple_space_guard bounds the expanded law's tuple space, |S|^(n +
+    carets), which is no longer swept; BudgetExceeded fires at the first
+    candidate past it, as when candidates were swept in full, until an
+    exact decision over the reachable images (ROADMAP item 2) replaces the
+    search and the guard.  A negative budget raises ValueError.
     """
     pairs = trees.expansion_frontier(law.lhs, law.rhs, budget)
+
+    def result(kind, witness, checked):
+        holds = witness is not None
+        return EventualResult(kind, law, holds, witness, budget, checked)
+
     if use_perfection_shortcut and m.simply_perfect:
-        ok = bool(satisfies(m, law, threads=threads))
-        return EventualResult(
-            "decided-by-perfection",
-            law,
-            ok,
-            witness=ExpansionWord(()) if ok else None,
-            budget=budget,
-            pairs_checked=1,
-        )
+        ok = _agree(m, law, _whole(m, law.arity), threads)
+        return result("decided-by-perfection", ExpansionWord() if ok else None, 1)
     size = len(m)
+    images = {trees.LEAF: tuple(range(size))}
+
+    def image(t):
+        if t not in images:
+            images[t] = _product_image(m.table, image(t[0]), image(t[1]))
+        return images[t]
+
+    addresses = trees.leaf_addresses(law.lhs)
+    verdicts = {}  # tuple of images -> does the law hold on their product
     checked = 0
     for level, lhs, rhs, applied in pairs:
         space = size ** leaf_count(lhs)
@@ -499,18 +531,12 @@ def satisfies_eventually(
                 f"{space} tuples per check (guard {tuple_space_guard})"
             )
         checked += 1
-        if satisfies(m, Law(lhs, rhs), threads=threads):
-            return EventualResult(
-                "holds",
-                law,
-                True,
-                witness=ExpansionWord.from_applied(applied),
-                budget=budget,
-                pairs_checked=checked,
-            )
-    return EventualResult(
-        "fails-up-to", law, False, budget=budget, pairs_checked=checked
-    )
+        key = tuple(image(trees.subtree_at(lhs, a)) for a in addresses)
+        if key not in verdicts:
+            verdicts[key] = _agree(m, law, key, threads)
+        if verdicts[key]:
+            return result("holds", ExpansionWord.from_applied(applied), checked)
+    return result("fails-up-to", None, checked)
 
 
 def derived_chain(m):
@@ -537,25 +563,13 @@ def restricted_image(m, tree, fixed):
     """Image of the tree operation with some leaf positions (1-based) pinned
     to fixed elements and the rest ranging over the whole magma."""
     n = leaf_count(tree)
-    size = len(m)
-    dtype = _dtype_for(size)
     for pos in fixed:
         if not 1 <= pos <= n:
             raise ValueError(f"leaf position {pos} out of range 1..{n}")
-    free_axis = {}
-    for j in range(1, n + 1):
-        if j not in fixed:
-            free_axis[j] = len(free_axis)
-    nf = len(free_axis)
-    leaf_arrays = []
-    for j in range(1, n + 1):
-        if j in fixed:
-            leaf_arrays.append(np.asarray(m.index(fixed[j]), dtype=dtype))
-        else:
-            shape = [1] * nf
-            shape[free_axis[j]] = size
-            leaf_arrays.append(np.arange(size, dtype=dtype).reshape(shape))
-    values = _tree_values(m.table, tree, leaf_arrays)
+    domains = _whole(m, n)
+    for pos in sorted(fixed):
+        domains[pos - 1] = domains[pos - 1][[m.index(fixed[pos])]]
+    values = _tree_values(m.table, tree, _block_axes(domains, 0, 0, 1))
     return frozenset(m.elements[int(v)] for v in np.unique(values))
 
 
@@ -567,14 +581,13 @@ def centralizer(m, subset, zero):
     return frozenset(m.elements[int(i)] for i in np.nonzero(mask)[0])
 
 
-def search_laws(m, n, *, budgets=None, force=False, seed=0, threads=1):
+def search_laws(m, n, *, budgets=None, force=False, threads=1):
     """All nontrivial laws of arity n that hold, exhaustively verified.
 
-    Unordered pairs of distinct n-leaf trees are tried in enumeration order.
-    When the tuple space dwarfs the sample budget, a randomized pre-pass
-    evaluates every tree once on a shared sample matrix and only surviving
-    pairs get the exhaustive sweep.  Guarded by tuple-space size unless
-    forced.
+    The n-leaf trees are partitioned by their values on every tuple, each
+    tree evaluated once per block, and the laws are the pairs (i, j), i < j
+    in enumeration order, that share a class.  Guarded by tuple-space size
+    unless forced.
     """
     budgets = budgets or SearchBudgets.for_size(len(m))
     size = len(m)
@@ -585,26 +598,12 @@ def search_laws(m, n, *, budgets=None, force=False, seed=0, threads=1):
             f"{budgets.tuple_space_guard} (force to override)"
         )
     shapes = trees.enumerate_trees(n)
-    pairs = [
-        (i, j) for i in range(len(shapes)) for j in range(i + 1, len(shapes))
-    ]
-    if budgets.prepass_samples * 4 < space:
-        rng = np.random.default_rng(seed)
-        sample = rng.integers(0, size, size=(n, budgets.prepass_samples))
-        leaf_arrays = [sample[j] for j in range(n)]
-        sampled = [_tree_values(m.table, t, leaf_arrays) for t in shapes]
-        pairs = [
-            (i, j) for i, j in pairs if np.array_equal(sampled[i], sampled[j])
-        ]
-    laws = []
-    for i, j in pairs:
-        law = Law(shapes[i], shapes[j])
-        if satisfies(m, law, threads=threads):
-            laws.append(law)
-    return tuple(laws)
+    classes = _partition(m.table, shapes, _whole(m, n), threads)
+    pairs = sorted(p for c in classes for p in itertools.combinations(c, 2))
+    return tuple(Law(shapes[i], shapes[j]) for i, j in pairs)
 
 
-def assoc_status(m, budgets=None, *, seed=0, threads=1):
+def assoc_status(m, budgets=None, *, threads=1):
     """Cascade classifier for the stable-associativity group of a magma.
 
     Associative or solvable certifies the full group; a two-sided identity
@@ -646,8 +645,7 @@ def assoc_status(m, budgets=None, *, seed=0, threads=1):
     fvl = five_variable_law()
     notes = {}
     if m.simply_perfect:
-        direct = satisfies(m, fvl, threads=threads)
-        if direct:
+        if _agree(m, fvl, _whole(m, fvl.arity), threads):
             return AssocStatus(
                 "contains_commutator", "fvl-on-the-nose", {"law": fvl}
             )
@@ -674,7 +672,7 @@ def assoc_status(m, budgets=None, *, seed=0, threads=1):
     found = []
     searched_to = 2
     for arity in range(3, budgets.law_arity_cap + 1):
-        found.extend(search_laws(m, arity, budgets=budgets, seed=seed, threads=threads))
+        found.extend(search_laws(m, arity, budgets=budgets, threads=threads))
         searched_to = arity
         if found:
             return AssocStatus(

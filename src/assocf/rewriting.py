@@ -404,8 +404,12 @@ def closure_generate(generators, depth, *, word_cap=None):
     word_cap (default: depth); the result is every product of at most
     `depth` seeds, deduplicated by reduced pair.  Always contains the
     identity; an under-approximation that only grows with either bound.
+    A negative depth or word cap raises ValueError.
     """
     cap = depth if word_cap is None else word_cap
+    for name, bound in (("depth", depth), ("word cap", cap)):
+        if bound < 0:
+            raise ValueError(f"closure {name} must be >= 0, got {bound}")
     seeds = {thompson.IDENTITY}
     for g in generators:
         for word in _vertex_words(cap):

@@ -172,12 +172,16 @@ def test_threads_flag_does_not_change_output(capsys):
     assert (base_code, base) == (thr_code, threaded)
 
 
-def test_seed_flag_accepted(capsys):
-    code, out = run_capture(
-        ["magma", "search", "fixtures/s4.magma", "4", "--seed", "7"], capsys
-    )
-    assert code == 0
-    assert "(. (. (. .))) = (. ((. .) .))" in out
+@pytest.mark.parametrize(
+    "action",
+    [["search", "fixtures/s4.magma", "4"], ["status", "fixtures/s4.magma"]],
+    ids=["search", "status"],
+)
+def test_seed_flag_is_a_usage_error(action, capsys):
+    # the law search is exhaustive and deterministic: nothing to seed
+    code = cli.run(["magma", *action, "--seed", "7"])
+    assert code == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_status_budget_flag(capsys):
@@ -218,6 +222,32 @@ def test_negative_caret_budgets_exit_2(argv, capsys):
     code, out = run_capture(argv, capsys)
     assert code == 2
     assert out == "error: caret budget must be >= 0, got %s\n" % argv[-1]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["fixtures/x1_law.variety", "-1"], "closure depth must be >= 0, got -1"),
+        (
+            ["fixtures/x1_law.variety", "1", "--word-cap", "-3"],
+            "closure word cap must be >= 0, got -3",
+        ),
+    ],
+    ids=["depth", "word-cap"],
+)
+def test_negative_closure_bounds_exit_2(argv, message, capsys):
+    code, out = run_capture(["variety", "closure", *argv], capsys)
+    assert (code, out) == (2, f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# exponent cap
+
+
+def test_exponent_past_the_cap_exits_3_at_once(capsys):
+    code, out = run_capture(["f", "word", "x0^-99999999999"], capsys)
+    assert code == 3
+    assert out.startswith("budget exhausted: exponent -99999999999")
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 import itertools
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_magma
@@ -23,7 +24,6 @@ from assocf.magmas import (
     derived_chain,
     dump_magma,
     evaluate,
-    expansion_monotone_check,
     five_variable_law,
     format_law,
     is_solvable,
@@ -84,6 +84,50 @@ def oracle_grid(m, t):
     n = trees.leaf_count(t)
     axes = np.indices((len(m),) * n).reshape(n, -1)
     return magmas._tree_values(m.table, t, list(axes))
+
+
+def reference_satisfies_eventually(m, law, budget, guard=None):
+    """The per-pair search the image-set check replaced: sweep every
+    expansion-frontier pair in full, in frontier order."""
+    checked = 0
+    for level, lhs, rhs, applied in trees.expansion_frontier(law.lhs, law.rhs, budget):
+        space = len(m) ** trees.leaf_count(lhs)
+        if guard is not None and space > guard:
+            raise BudgetExceeded(
+                f"eventual search at {level} added carets needs "
+                f"{space} tuples per check (guard {guard})"
+            )
+        checked += 1
+        if satisfies(m, Law(lhs, rhs)).holds:
+            return "holds", trees.ExpansionWord.from_applied(applied), checked
+    return "fails-up-to", None, checked
+
+
+def reference_search_laws(m, n):
+    """The pairwise search the partition refinement replaced: every pair of
+    distinct n-leaf trees in (i, j) order, each swept in full."""
+    shapes = trees.enumerate_trees(n)
+    return tuple(
+        Law(shapes[i], shapes[j])
+        for i in range(len(shapes))
+        for j in range(i + 1, len(shapes))
+        if satisfies(m, Law(shapes[i], shapes[j])).holds
+    )
+
+
+def small_tables(max_size):
+    """Random tables of 2..max_size elements whose entries are drawn from
+    the first k elements, so k < |S| gives non-surjective tables and small k
+    gives tables with many laws."""
+
+    def build(p):
+        size, k, seed = p
+        values = np.random.default_rng(seed).integers(0, min(k, size), (size, size))
+        return Magma(tuple(f"g{i}" for i in range(size)), values)
+
+    return st.tuples(
+        st.integers(2, max_size), st.integers(1, max_size), st.integers(0, 2**31)
+    ).map(build)
 
 
 # --- construction and serialization ------------------------------------------------
@@ -236,14 +280,10 @@ def test_trivial_laws_always_hold(m, n):
 
 @given(magma_strategy, law_strategy(3), st.lists(st.integers(1, 4), max_size=2))
 def test_held_laws_transfer_to_expansions(m, law, letters):
+    # the expanded sides evaluate through the originals on a subset of S
     if satisfies(m, law).holds:
         word = trees.ExpansionWord(letters)
-        assert expansion_monotone_check(m, law, word)
-
-
-def test_expansion_monotone_check_requires_a_held_law():
-    with pytest.raises(ValueError):
-        expansion_monotone_check(FVL_DIRECT, associative_law(), trees.ExpansionWord())
+        assert satisfies(m, law.expand_both(word)).holds
 
 
 # --- eventual satisfaction ---------------------------------------------------------------
@@ -306,6 +346,81 @@ def test_eventual_tuple_space_guard(builtins):
             6,
             tuple_space_guard=100_000_000,
         )
+
+
+# Arity <= 4 on up to 5 elements, the five-variable law on up to 3, so the
+# reference sweeps at most 5^7 or 3^8 tuples a pair.
+eventual_cases = st.one_of(
+    st.tuples(small_tables(5), law_strategy(4)),
+    st.tuples(small_tables(3), st.just(five_variable_law())),
+)
+
+
+def table_of(rows):
+    return Magma(tuple(f"g{i}" for i in range(len(rows))), np.array(rows))
+
+
+@settings(max_examples=80)
+@given(eventual_cases, st.integers(0, 3))
+# found by enumeration: the first verdict turns on a graft whose two
+# subtrees have different images, the second on the image at the last leaf
+@example(
+    (
+        table_of([[1, 1, 0, 1], [1, 1, 1, 1], [1, 0, 0, 0], [1, 1, 2, 1]]),
+        parse_law("(. (. (. .))) = (. ((. .) .))"),
+    ),
+    3,
+)
+@example(
+    (
+        table_of([[0, 0, 0, 1], [0, 0, 0, 1], [1, 1, 1, 0], [1, 0, 1, 0]]),
+        parse_law("(. (. .)) = ((. .) .)"),
+    ),
+    2,
+)
+def test_eventual_matches_the_per_pair_reference(case, budget):
+    m, law = case
+    res = satisfies_eventually(m, law, budget, use_perfection_shortcut=False)
+    kind, witness, checked = reference_satisfies_eventually(m, law, budget)
+    assert (res.kind, res.witness, res.pairs_checked) == (kind, witness, checked)
+    assert res.holds == (kind == "holds")
+    if not m.simply_perfect:
+        assert satisfies_eventually(m, law, budget) == res
+
+
+@given(eventual_cases, st.integers(0, 3), st.integers(0, 3))
+def test_eventual_guard_fires_where_the_reference_does(case, budget, extra):
+    m, law = case
+    guard = len(m) ** (law.arity + extra)
+    try:
+        expected = reference_satisfies_eventually(m, law, budget, guard)
+    except BudgetExceeded as stop:
+        with pytest.raises(BudgetExceeded) as got:
+            satisfies_eventually(
+                m, law, budget, use_perfection_shortcut=False, tuple_space_guard=guard
+            )
+        assert str(got.value) == str(stop)
+    else:
+        res = satisfies_eventually(
+            m, law, budget, use_perfection_shortcut=False, tuple_space_guard=guard
+        )
+        assert (res.kind, res.witness, res.pairs_checked) == expected
+
+
+@settings(max_examples=30)
+@given(small_tables(4), st.integers(3, 5), st.integers(2, 3), st.sampled_from([5, 40]))
+def test_results_do_not_depend_on_threads(m, n, threads, block):
+    laws = search_laws(m, n)
+    eventual = satisfies_eventually(m, X1_LAW, 2, use_perfection_shortcut=False)
+    saved = magmas._BLOCK_ELEMENTS
+    magmas._BLOCK_ELEMENTS = block
+    try:
+        assert search_laws(m, n, threads=threads) == laws
+        assert satisfies_eventually(
+            m, X1_LAW, 2, use_perfection_shortcut=False, threads=threads
+        ) == eventual
+    finally:
+        magmas._BLOCK_ELEMENTS = saved
 
 
 @given(st.integers(0, 2**31), law_strategy(3))
@@ -461,11 +576,16 @@ def test_search_returns_no_trivial_or_duplicate_laws(builtins):
         seen.add(key)
 
 
-def test_search_results_do_not_depend_on_seed_or_threads(builtins):
+def test_search_results_do_not_depend_on_threads(builtins):
     s4 = builtins["s4"]
-    base = search_laws(s4, 4, seed=0)
-    assert search_laws(s4, 4, seed=123) == base
+    base = search_laws(s4, 4)
     assert search_laws(s4, 4, threads=3) == base
+
+
+@settings(max_examples=60)
+@given(small_tables(5), st.integers(3, 5))
+def test_search_matches_the_pairwise_reference(m, n):
+    assert search_laws(m, n) == reference_search_laws(m, n)
 
 
 def test_search_tuple_space_guard(builtins):
@@ -477,11 +597,33 @@ def test_search_tuple_space_guard(builtins):
     assert len(forced) == 1 and same_sides(forced[0], associative_law())
 
 
-def test_prepass_filters_before_sweeping(builtins):
-    # tiny sample budget forces the pre-pass path; results must not change
-    pre = builtins["pre_sl2"]
-    budgets = SearchBudgets(prepass_samples=8)
-    assert search_laws(pre, 4, budgets=budgets) == search_laws(pre, 4)
+def test_search_refines_across_many_blocks(builtins, monkeypatch):
+    # s4 and z4 keep classes of several trees to the last block, pre_sl2
+    # parts every tree early; 4 threads on a short switch interval read
+    # `classes` while it is being refined
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for name, n in (("s4", 4), ("z4_addition", 5), ("pre_sl2", 5)):
+            m = builtins[name]
+            expected = reference_search_laws(m, n)
+            assert (len(expected) > 0) == (name != "pre_sl2")
+            for block in (7, 64):
+                monkeypatch.setattr(magmas, "_BLOCK_ELEMENTS", block)
+                per_tree = block // len(trees.enumerate_trees(n))
+                assert len(magmas._layout(magmas._whole(m, n), per_tree)[1]) > 1
+                for threads in (1, 4):
+                    got = search_laws(m, n, threads=threads)
+                    assert got == expected, (name, block, threads)
+    finally:
+        sys.setswitchinterval(saved)
+
+
+@given(st.integers(1, 5000))
+def test_spread_order_visits_every_block_once(count):
+    order = list(magmas._spread(count))
+    assert sorted(order) == list(range(count))
+    assert order[0] == 0
 
 
 # --- the classifier -----------------------------------------------------------------------------

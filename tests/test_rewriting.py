@@ -550,6 +550,19 @@ def test_closure_word_cap_controls_the_seed_alphabet():
     assert all(th.abelianize(g) == (0, 0) for g in members)
 
 
+@pytest.mark.parametrize(
+    "depth,word_cap,message",
+    [
+        (-1, None, "closure depth must be >= 0, got -1"),
+        (1, -3, "closure word cap must be >= 0, got -3"),
+        (-2, -5, "closure depth must be >= 0, got -2"),
+    ],
+)
+def test_closure_rejects_negative_bounds(depth, word_cap, message):
+    with pytest.raises(ValueError, match=message):
+        closure_generate([GENS["x1"]], depth, word_cap=word_cap)
+
+
 # --- membership ----------------------------------------------------------------------------
 
 

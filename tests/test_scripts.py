@@ -1,0 +1,25 @@
+"""Smoke tests for the scripts under scripts/: each runs end to end through
+the library's current API, so a changed signature shows up here."""
+
+import importlib.util
+import pathlib
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_classify_zoo_prints_the_verdicts(capsys):
+    script = load_script("classify_zoo")
+    assert script.main(["--only", "s4", "--only", "pre_sl2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith("s4       |S|=4   unknown (laws-found)  [")
+    assert lines[1].strip() == "arity <= 4: (. (. (. .))) = (. ((. .) .))"
+    assert lines[2].startswith("pre_sl2  |S|=4   no_law_up_to (law-search-exhausted)  [")
+    assert lines[3].strip() == "arity <= 6"

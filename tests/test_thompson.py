@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from assocf import thompson as th
 from assocf import trees
-from assocf.errors import ParseError
+from assocf.errors import BudgetExceeded, ParseError
 from assocf.thompson import (
     IDENTITY,
     FElement,
@@ -188,6 +188,29 @@ def test_word_grammar(text, expected):
 def test_word_grammar_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_word(text)
+
+
+@pytest.mark.parametrize("k", [121, th.EXPONENT_CAP, -th.EXPONENT_CAP])
+def test_exponents_within_the_cap_reach_power(monkeypatch, k):
+    calls = []
+    monkeypatch.setattr(th, "power", lambda g, k: calls.append(k) or IDENTITY)
+    assert parse_word(f"x0^{k}") == IDENTITY
+    assert calls == [k]
+
+
+@pytest.mark.parametrize("k", [th.EXPONENT_CAP + 1, -th.EXPONENT_CAP - 1, -99999999999])
+def test_exponents_past_the_cap_stop_before_any_multiply(monkeypatch, k):
+    calls = []
+    monkeypatch.setattr(th, "multiply", lambda g, h: calls.append(1))
+    with pytest.raises(BudgetExceeded):
+        parse_word(f"x0^{k}")
+    assert calls == []
+
+
+def test_powers_at_the_cap_still_compute():
+    # the identity's powers cost nothing, so the cap itself is cheap to cross
+    assert parse_word(f"(x0 * x0^-1)^{th.EXPONENT_CAP}") == IDENTITY
+    assert parse_word(f"(x1 * x1^-1)^-{th.EXPONENT_CAP}") == IDENTITY
 
 
 @pytest.mark.parametrize(
