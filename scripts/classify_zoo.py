@@ -62,8 +62,7 @@ def evidence_summary(status):
     if status.kind == "contains_commutator":
         return f"expansion {ev['expansion']}" if "expansion" in ev else "on the nose"
     if status.kind == "no_law_up_to":
-        note = ev.get("fvl_search")
-        return f"arity <= {ev['arity']}" + (f"; {note}" if note else "")
+        return f"arity <= {ev['arity']}"
     if status.kind == "unknown":
         laws = ", ".join(magmas.format_law(law) for law in ev["laws"])
         return f"arity <= {ev['searched_up_to']}: {laws}"

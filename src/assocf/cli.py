@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import magmas, plmaps, rewriting, thompson, trees, zoo
 from .errors import BudgetExceeded, ParseError
@@ -228,12 +228,12 @@ def _cmd_magma(args):
             return CommandResult(
                 "ok", payload, exit_code=EXIT_BUDGET, text=text
             )
-        if res.witness is not None and len(res.witness.letters) > 0:
+        if res.kind == "never":
+            text = "never holds (exact: fails on the derived core)"
+        elif res.witness.letters:
             text = f"holds at expansion {res.witness}"
-        elif res.holds:
-            text = "holds on the nose"
         else:
-            text = "fails (exact: operation is surjective)"
+            text = "holds on the nose"
         return CommandResult("ok", payload, text=text)
     if args.action == "solvable":
         witness = magmas.is_solvable(m)
@@ -252,17 +252,9 @@ def _cmd_magma(args):
     if args.action == "status":
         budgets = magmas.SearchBudgets.for_size(len(m))
         if args.budget is not None:
-            budgets = magmas.SearchBudgets(
-                eventual_carets=args.budget,
-                law_arity_cap=budgets.law_arity_cap,
-                tuple_space_guard=budgets.tuple_space_guard,
-            )
+            budgets = replace(budgets, eventual_carets=args.budget)
         if args.arity_cap is not None:
-            budgets = magmas.SearchBudgets(
-                eventual_carets=budgets.eventual_carets,
-                law_arity_cap=args.arity_cap,
-                tuple_space_guard=budgets.tuple_space_guard,
-            )
+            budgets = replace(budgets, law_arity_cap=args.arity_cap)
         status = magmas.assoc_status(m, budgets, threads=args.threads)
         return CommandResult(
             "ok", status.as_payload(), text=_format_status(status)

@@ -31,9 +31,11 @@ from .errors import BudgetExceeded, ParseError
 from .trees import ExpansionWord, leaf_count
 
 _BLOCK_ELEMENTS = 1 << 24
-# Tuples per block when trees are partitioned by value: numpy's per-call
-# cost is still small at this size, and a space of many blocks is visited
-# in spread order, so trees that differ somewhere part within a few blocks.
+# Tuples per block when trees are partitioned by value, and in the first
+# block of a counterexample sweep: numpy's per-call cost is still small at
+# this size, a space of many blocks is visited in spread order, so trees
+# that differ somewhere part within a few blocks, and an early
+# counterexample is found before the blocks grow.
 _PARTITION_BLOCK = 1 << 16
 
 
@@ -233,9 +235,11 @@ class LawCheck:
 
 @dataclass(frozen=True)
 class EventualResult:
-    """Outcome of the bounded simultaneous-expansion search."""
+    """Outcome of satisfies_eventually: "holds" with a caret-minimal witness,
+    "never" (exact: no expansion holds), or "fails-up-to" (some expansion
+    holds, but none within the budget)."""
 
-    kind: str  # "holds" | "fails-up-to" | "decided-by-perfection"
+    kind: str  # "holds" | "never" | "fails-up-to"
     law: Law
     holds: bool
     witness: ExpansionWord = None
@@ -376,6 +380,26 @@ def _layout(domains, budget):
     return prefix_vars, blocks
 
 
+def _growing_blocks(domains, start, cap):
+    """Blocks (prefix_vars, lo, hi), as in _layout, that visit the tuples in
+    lexicographic order with sizes from `start` tuples doubling up to `cap`.
+    A block ends on a multiple of the largest trailing space its size holds
+    and takes the fewest leading variables its ends allow: large blocks get
+    the broad layout, which is the cheaper one to evaluate."""
+    sizes = [len(d) for d in domains]
+    # tuples per combo of the first p variables, for p = 0 .. n-1
+    widths = [math.prod(sizes[p:]) for p in range(len(sizes))]
+    # a block spans at least the last variable
+    cap = max(cap, widths[-1])
+    pos, size = 0, min(max(start, widths[-1]), cap)
+    while pos < widths[0]:
+        fit = next(w for w in widths if w <= size)
+        end = min((pos + size) // fit * fit, widths[0])
+        p = next(p for p, w in enumerate(widths) if pos % w == end % w == 0)
+        yield p, pos // widths[p], end // widths[p]
+        pos, size = end, min(2 * size, cap)
+
+
 def _block_axes(domains, prefix_vars, lo, hi):
     """Leaf arrays for the block [lo, hi) of _layout."""
     axes = []
@@ -452,18 +476,20 @@ def _whole(m, n):
 
 def satisfies(m, law, *, threads=1):
     """Exhaustive check of a law over all |S|^n tuples, early exit.  Blocks
-    of at most _BLOCK_ELEMENTS tuples are read in lexicographic order, so
-    the counterexample is the first one for any thread count."""
+    are read in lexicographic order, so the counterexample is the first one
+    for any thread count; they start at _PARTITION_BLOCK tuples and double
+    up to _BLOCK_ELEMENTS, so an early counterexample costs a small sweep."""
     domains = _whole(m, law.arity)
-    prefix_vars, blocks = _layout(domains, _BLOCK_ELEMENTS)
+    blocks = _growing_blocks(domains, _PARTITION_BLOCK, _BLOCK_ELEMENTS)
     table, lhs, rhs = m.table, law.lhs, law.rhs
 
     def run(block):
-        axes = _block_axes(domains, prefix_vars, *block)
+        prefix_vars, lo, _ = block
+        axes = _block_axes(domains, *block)
         mismatch = _tree_values(table, lhs, axes) != _tree_values(table, rhs, axes)
         if mismatch.any():
             at = np.unravel_index(int(np.argmax(mismatch)), mismatch.shape)
-            prefix = np.unravel_index(block[0] + int(at[0]), (len(m),) * prefix_vars)
+            prefix = np.unravel_index(lo + int(at[0]), (len(m),) * prefix_vars)
             return tuple(m.elements[int(i)] for i in (*prefix, *at[1:]))
 
     found = (f for f in _in_waves(run, blocks, threads) if f is not None)
@@ -479,41 +505,28 @@ def satisfies(m, law, *, threads=1):
     )
 
 
-def satisfies_eventually(
-    m,
-    law,
-    budget=6,
-    *,
-    use_perfection_shortcut=True,
-    threads=1,
-    tuple_space_guard=100_000_000,
-):
-    """Search simultaneous expansions of the law, at most `budget` added
-    carets per side, breadth-first so witnesses are caret-minimal.
+def satisfies_eventually(m, law, budget=6, *, threads=1):
+    """Decide whether some simultaneous expansion of the law holds, and find
+    a caret-minimal one within `budget` added carets per side.
 
     An expansion grafts the same tree T_j at leaf j of both sides, so it
     holds iff the law holds on the product of the images Im(T_j), where
-    Im(leaf) = S and Im((L R)) = op(Im L x Im R): one sweep of at most |S|^n
-    tuples per distinct tuple of images, for arity n.  For a simply perfect
-    magma every image is S, so the law itself decides, exactly.
-
-    tuple_space_guard bounds the expanded law's tuple space, |S|^(n +
-    carets), which is no longer swept; BudgetExceeded fires at the first
-    candidate past it, as when candidates were swept in full, until an
-    exact decision over the reachable images (ROADMAP item 2) replaces the
-    search and the guard.  A negative budget raises ValueError.
+    Im(leaf) = S and Im((L R)) = op(Im L x Im R).  Every image contains the
+    derived core D, the last level of the derived chain (the sandwich of
+    is_solvable), and the complete tree of the chain's depth has image
+    exactly D.  So the law holds after some expansion iff it holds on D^n,
+    for arity n: when it fails there the kind is "never", exact, with no
+    search.  When it holds, the expansion frontier is searched
+    breadth-first, one sweep of at most |S|^n tuples per distinct tuple of
+    images, and the kind is "holds" with a caret-minimal witness, or
+    "fails-up-to" when every witness needs more than `budget` carets.  A
+    negative budget raises ValueError.
     """
     pairs = trees.expansion_frontier(law.lhs, law.rhs, budget)
-
-    def result(kind, witness, checked):
-        holds = witness is not None
-        return EventualResult(kind, law, holds, witness, budget, checked)
-
-    if use_perfection_shortcut and m.simply_perfect:
-        ok = _agree(m, law, _whole(m, law.arity), threads)
-        return result("decided-by-perfection", ExpansionWord() if ok else None, 1)
-    size = len(m)
-    images = {trees.LEAF: tuple(range(size))}
+    core = tuple(map(m.index, derived_chain(m).subsets[-1]))
+    if not _agree(m, law, [core] * law.arity, threads):
+        return EventualResult("never", law, False, budget=budget)
+    images = {trees.LEAF: tuple(range(len(m)))}
 
     def image(t):
         if t not in images:
@@ -521,22 +534,18 @@ def satisfies_eventually(
         return images[t]
 
     addresses = trees.leaf_addresses(law.lhs)
-    verdicts = {}  # tuple of images -> does the law hold on their product
+    # tuple of images -> does the law hold on their product
+    verdicts = {(core,) * law.arity: True}
     checked = 0
-    for level, lhs, rhs, applied in pairs:
-        space = size ** leaf_count(lhs)
-        if tuple_space_guard is not None and space > tuple_space_guard:
-            raise BudgetExceeded(
-                f"eventual search at {level} added carets needs "
-                f"{space} tuples per check (guard {tuple_space_guard})"
-            )
+    for _, lhs, _, applied in pairs:
         checked += 1
         key = tuple(image(trees.subtree_at(lhs, a)) for a in addresses)
         if key not in verdicts:
             verdicts[key] = _agree(m, law, key, threads)
         if verdicts[key]:
-            return result("holds", ExpansionWord.from_applied(applied), checked)
-    return result("fails-up-to", None, checked)
+            witness = ExpansionWord.from_applied(applied)
+            return EventualResult("holds", law, True, witness, budget, checked)
+    return EventualResult("fails-up-to", law, False, None, budget, checked)
 
 
 def derived_chain(m):
@@ -608,10 +617,11 @@ def assoc_status(m, budgets=None, *, threads=1):
 
     Associative or solvable certifies the full group; a two-sided identity
     on a non-associative table certifies the trivial group; the five
-    variable law (directly for simply perfect tables, else through bounded
-    expansion search) certifies containing the commutator subgroup; failing
-    all that, bounded law search reports either exhaustion bounds or the
-    laws it found.  Unknown never claims triviality: that would need
+    variable law holding after some expansion certifies containing the
+    commutator subgroup (on the nose for a simply perfect table, else with
+    a caret-minimal expansion within the caret budget); failing all that,
+    bounded law search reports either exhaustion bounds or the laws it
+    found.  Unknown never claims triviality: that would need
     no-law-at-every-arity, which bounded search cannot certify.
     """
     budgets = budgets or SearchBudgets.for_size(len(m))
@@ -643,32 +653,16 @@ def assoc_status(m, budgets=None, *, threads=1):
             },
         )
     fvl = five_variable_law()
-    notes = {}
-    if m.simply_perfect:
-        if _agree(m, fvl, _whole(m, fvl.arity), threads):
-            return AssocStatus(
-                "contains_commutator", "fvl-on-the-nose", {"law": fvl}
-            )
-    else:
-        # 13+ elements put deep expansion levels past any sane tuple budget;
-        # an aborted search is inconclusive, not a failure, so fall through.
-        try:
-            eventual = satisfies_eventually(
-                m,
-                fvl,
-                budgets.eventual_carets,
-                threads=threads,
-                tuple_space_guard=budgets.tuple_space_guard,
-            )
-        except BudgetExceeded as stop:
-            notes["fvl_search"] = f"aborted: {stop}"
-        else:
-            if eventual.kind == "holds":
-                return AssocStatus(
-                    "contains_commutator",
-                    "fvl-at-expansion",
-                    {"law": fvl, "expansion": eventual.witness},
-                )
+    eventual = satisfies_eventually(m, fvl, budgets.eventual_carets, threads=threads)
+    if eventual.holds:
+        # on a simply perfect table every image is S: no expansion to show
+        if m.simply_perfect:
+            return AssocStatus("contains_commutator", "fvl-on-the-nose", {"law": fvl})
+        return AssocStatus(
+            "contains_commutator",
+            "fvl-at-expansion",
+            {"law": fvl, "expansion": eventual.witness},
+        )
     found = []
     searched_to = 2
     for arity in range(3, budgets.law_arity_cap + 1):
@@ -678,12 +672,10 @@ def assoc_status(m, budgets=None, *, threads=1):
             return AssocStatus(
                 "unknown",
                 "laws-found",
-                {"laws": tuple(found), "searched_up_to": searched_to, **notes},
+                {"laws": tuple(found), "searched_up_to": searched_to},
             )
     return AssocStatus(
-        "no_law_up_to",
-        "law-search-exhausted",
-        {"arity": searched_to, **notes},
+        "no_law_up_to", "law-search-exhausted", {"arity": searched_to}
     )
 
 

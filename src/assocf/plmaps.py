@@ -335,17 +335,6 @@ def support_interval(g):
     return (pts[lo - 1][0], pts[hi + 1][0])
 
 
-def in_Fk(g, k):
-    """Is g supported inside [1/2^k, 1 - 1/2^k]?  Requires k >= 2."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    a, b = support_interval(g)
-    if (a, b) == (ZERO, ZERO):
-        return True
-    edge = Dyadic(1, k)
-    return a >= edge and b <= ONE - edge
-
-
 def stabilizes_halfpowers(g):
     """Does g permute the set {1/2^n : n >= 1}?
 
@@ -369,29 +358,6 @@ def stabilizes_halfpowers(g):
 
 def format_pl_map(f):
     return "pl " + " ".join(f"({x} -> {y})" for x, y in f.points)
-
-
-def parse_pl_map(text):
-    """Parse the "pl (x -> y) (x -> y) ..." wire format."""
-    s = text.strip()
-    if not s.startswith("pl"):
-        raise ParseError("PL map literal must start with 'pl'", location=0)
-    body = s[2:]
-    pts = []
-    pos = 0
-    pat = re.compile(r"\s*\(\s*([^\s>]+)\s*->\s*([^\s)]+)\s*\)")
-    while pos < len(body):
-        m = pat.match(body, pos)
-        if m is None:
-            if body[pos:].strip():
-                raise ParseError("bad PL map syntax", location=pos + 2)
-            break
-        pts.append((parse_dyadic(m.group(1)), parse_dyadic(m.group(2))))
-        pos = m.end()
-    try:
-        return PLMap(pts)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
 
 
 def decimal_str(d):

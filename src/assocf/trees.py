@@ -27,7 +27,8 @@ from .errors import BudgetExceeded, ParseError
 # A leaf is (), a node is a 2-tuple of trees.
 LEAF = ()
 
-DEFAULT_TREE_CAP = 14
+# Most leaves enumerate_trees lists: Catalan(13) = 742,900 trees at 14.
+TREE_ENUMERATION_CAP = 14
 
 # Deepest literal parse_tree accepts.  Every tree routine recurses once per
 # level, and a tree command adds at most one level (expand, shift), so this
@@ -303,7 +304,7 @@ def random_tree(rng, n):
 _TREE_LISTS = {1: (LEAF,)}
 
 
-def enumerate_trees(n, cap=DEFAULT_TREE_CAP):
+def enumerate_trees(n):
     """All trees with n leaves.
 
     Canonical order: by leaf count of the left subtree, then recursively
@@ -311,8 +312,10 @@ def enumerate_trees(n, cap=DEFAULT_TREE_CAP):
     """
     if n < 1:
         raise ValueError(f"leaf count must be >= 1, got {n}")
-    if n > cap:
-        raise BudgetExceeded(f"tree enumeration for n={n} exceeds cap {cap}")
+    if n > TREE_ENUMERATION_CAP:
+        raise BudgetExceeded(
+            f"tree enumeration for n={n} exceeds cap {TREE_ENUMERATION_CAP}"
+        )
     for m in range(2, n + 1):
         if m not in _TREE_LISTS:
             _TREE_LISTS[m] = tuple(
@@ -401,11 +404,6 @@ def parse_expansion_word(text):
     except ValueError:
         raise ParseError(f"bad expansion word body {body!r}", 2) from None
     return ExpansionWord(letters)
-
-
-def monoid_compose(a, b):
-    """The word acting as b first, then a."""
-    return ExpansionWord(a.letters + b.letters)
 
 
 def expansion_path(target, base):

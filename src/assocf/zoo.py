@@ -269,14 +269,6 @@ def sl2_table():
     return Magma(names, table)
 
 
-def sl2_collapse(name):
-    """Quotient map of the signed sl2 table onto pre_sl2's elements."""
-    if name == "0":
-        return "0"
-    basis = name.split("e")[1]
-    return {"-1": "a", "0": "b", "1": "c"}[basis]
-
-
 @cache
 def cyclic_addition(n):
     """Addition mod n, the stock associative example."""

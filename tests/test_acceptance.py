@@ -267,7 +267,7 @@ def test_criterion_07_s4_example():
     if not m.simply_perfect:
         failures.append("simply perfect flag is false")
     fvl = satisfies_eventually(m, five_variable_law())
-    if fvl.kind != "decided-by-perfection" or fvl.holds:
+    if fvl.kind != "never" or fvl.holds:
         failures.append(f"five-variable law: kind={fvl.kind} holds={fvl.holds}")
 
     status = magmas.assoc_status(m)

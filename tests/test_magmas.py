@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import sys
 
@@ -86,17 +87,11 @@ def oracle_grid(m, t):
     return magmas._tree_values(m.table, t, list(axes))
 
 
-def reference_satisfies_eventually(m, law, budget, guard=None):
+def reference_satisfies_eventually(m, law, budget):
     """The per-pair search the image-set check replaced: sweep every
     expansion-frontier pair in full, in frontier order."""
     checked = 0
-    for level, lhs, rhs, applied in trees.expansion_frontier(law.lhs, law.rhs, budget):
-        space = len(m) ** trees.leaf_count(lhs)
-        if guard is not None and space > guard:
-            raise BudgetExceeded(
-                f"eventual search at {level} added carets needs "
-                f"{space} tuples per check (guard {guard})"
-            )
+    for _, lhs, rhs, applied in trees.expansion_frontier(law.lhs, law.rhs, budget):
         checked += 1
         if satisfies(m, Law(lhs, rhs)).holds:
             return "holds", trees.ExpansionWord.from_applied(applied), checked
@@ -266,6 +261,41 @@ def test_blocked_sweep_is_invariant(m, law, threads, block):
     assert blocked == baseline
 
 
+@given(
+    magma_strategy,
+    law_strategy(5),
+    st.integers(1, 3),
+    st.integers(1, 9),
+    st.integers(0, 200),
+)
+def test_growing_blocks_keep_the_first_counterexample(m, law, threads, start, extra):
+    saved = magmas._PARTITION_BLOCK, magmas._BLOCK_ELEMENTS
+    magmas._PARTITION_BLOCK, magmas._BLOCK_ELEMENTS = start, start + extra
+    try:
+        check = satisfies(m, law, threads=threads)
+    finally:
+        magmas._PARTITION_BLOCK, magmas._BLOCK_ELEMENTS = saved
+    expected = oracle_first_counterexample(m, law)
+    assert check.counterexample == (None if expected is None else expected[0])
+
+
+@given(
+    st.lists(st.integers(1, 7), min_size=1, max_size=5),
+    st.integers(1, 50),
+    st.integers(0, 400),
+)
+def test_growing_blocks_tile_the_space_in_order(sizes, start, extra):
+    domains = [np.arange(k) for k in sizes]
+    pos = 0
+    for prefix_vars, lo, hi in magmas._growing_blocks(domains, start, start + extra):
+        width = math.prod(sizes[prefix_vars:])
+        assert lo * width == pos and hi > lo
+        assert hi <= math.prod(sizes[:prefix_vars])
+        assert (hi - lo) * width <= max(start + extra, sizes[-1])
+        pos = hi * width
+    assert pos == math.prod(sizes)
+
+
 @given(magma_strategy, law_strategy(4))
 def test_satisfies_is_symmetric_in_the_sides(m, law):
     flipped = Law(law.rhs, law.lhs)
@@ -319,33 +349,25 @@ def test_eventual_for_associativity_of_s3_commutator(builtins):
 
 
 def test_eventual_decided_by_perfection(builtins):
+    # surjective: the derived core is the whole table, so the law decides
     pre = builtins["pre_sl2"]
     assert pre.simply_perfect
     res = satisfies_eventually(pre, associative_law(), 3)
-    assert res.kind == "decided-by-perfection"
+    assert res.kind == "never"
     assert not res.holds
     assert res.witness is None
+    assert res.pairs_checked == 0
 
 
-def test_eventual_fails_up_to_without_shortcut(builtins):
-    pre = builtins["pre_sl2"]
-    res = satisfies_eventually(
-        pre, associative_law(), 3, use_perfection_shortcut=False
+def test_eventual_never_on_sl2_without_a_search(builtins):
+    # the five-variable law fails on sl2's derived core
+    res = satisfies_eventually(builtins["sl2_signed_basis"], five_variable_law(), 6)
+    assert (res.kind, res.holds, res.witness, res.pairs_checked) == (
+        "never",
+        False,
+        None,
+        0,
     )
-    assert res.kind == "fails-up-to"
-    assert not res.holds
-    assert res.budget == 3
-    assert res.pairs_checked > 3
-
-
-def test_eventual_tuple_space_guard(builtins):
-    with pytest.raises(BudgetExceeded):
-        satisfies_eventually(
-            builtins["sl2_signed_basis"],
-            five_variable_law(),
-            6,
-            tuple_space_guard=100_000_000,
-        )
 
 
 # Arity <= 4 on up to 5 elements, the five-variable law on up to 3, so the
@@ -380,45 +402,59 @@ def table_of(rows):
 )
 def test_eventual_matches_the_per_pair_reference(case, budget):
     m, law = case
-    res = satisfies_eventually(m, law, budget, use_perfection_shortcut=False)
+    res = satisfies_eventually(m, law, budget)
     kind, witness, checked = reference_satisfies_eventually(m, law, budget)
-    assert (res.kind, res.witness, res.pairs_checked) == (kind, witness, checked)
-    assert res.holds == (kind == "holds")
-    if not m.simply_perfect:
-        assert satisfies_eventually(m, law, budget) == res
-
-
-@given(eventual_cases, st.integers(0, 3), st.integers(0, 3))
-def test_eventual_guard_fires_where_the_reference_does(case, budget, extra):
-    m, law = case
-    guard = len(m) ** (law.arity + extra)
-    try:
-        expected = reference_satisfies_eventually(m, law, budget, guard)
-    except BudgetExceeded as stop:
-        with pytest.raises(BudgetExceeded) as got:
-            satisfies_eventually(
-                m, law, budget, use_perfection_shortcut=False, tuple_space_guard=guard
-            )
-        assert str(got.value) == str(stop)
+    if kind == "holds":
+        assert (res.kind, res.witness, res.pairs_checked) == (kind, witness, checked)
     else:
-        res = satisfies_eventually(
-            m, law, budget, use_perfection_shortcut=False, tuple_space_guard=guard
-        )
-        assert (res.kind, res.witness, res.pairs_checked) == expected
+        # "never" is the exact form of a search that found nothing
+        assert res.kind in ("never", "fails-up-to")
+        assert res.witness is None
+        assert res.pairs_checked == (0 if res.kind == "never" else checked)
+    assert res.holds == (kind == "holds")
+
+
+def complete_expansion(law, depth):
+    """The law with the complete tree of the given depth grafted at every
+    leaf of both sides."""
+    graft = trees.complete_tree(depth)
+
+    def grow(t):
+        if trees.is_leaf(t):
+            return graft
+        return (grow(t[0]), grow(t[1]))
+
+    return Law(grow(law.lhs), grow(law.rhs))
+
+
+@settings(max_examples=150)
+@given(small_tables(3), law_strategy(3))
+def test_eventual_core_decision_matches_its_certificates(m, law):
+    # Holds on the core: the complete trees of the chain's depth, whose
+    # image is the core, are a witness past any budget.  Never: no expansion
+    # within 3 carets holds.  A witness the reference finds is the result's.
+    references = [reference_satisfies_eventually(m, law, b) for b in range(4)]
+    if satisfies_eventually(m, law, 3).kind == "never":
+        assert all(kind == "fails-up-to" for kind, _, _ in references)
+    else:
+        depth = len(derived_chain(m).subsets) - 1
+        assert satisfies(m, complete_expansion(law, depth)).holds
+    for budget, (kind, witness, checked) in enumerate(references):
+        if kind == "holds":
+            res = satisfies_eventually(m, law, budget)
+            assert (res.kind, res.witness, res.pairs_checked) == (kind, witness, checked)
 
 
 @settings(max_examples=30)
 @given(small_tables(4), st.integers(3, 5), st.integers(2, 3), st.sampled_from([5, 40]))
 def test_results_do_not_depend_on_threads(m, n, threads, block):
     laws = search_laws(m, n)
-    eventual = satisfies_eventually(m, X1_LAW, 2, use_perfection_shortcut=False)
+    eventual = satisfies_eventually(m, X1_LAW, 2)
     saved = magmas._BLOCK_ELEMENTS
     magmas._BLOCK_ELEMENTS = block
     try:
         assert search_laws(m, n, threads=threads) == laws
-        assert satisfies_eventually(
-            m, X1_LAW, 2, use_perfection_shortcut=False, threads=threads
-        ) == eventual
+        assert satisfies_eventually(m, X1_LAW, 2, threads=threads) == eventual
     finally:
         magmas._BLOCK_ELEMENTS = saved
 
@@ -671,11 +707,10 @@ def test_status_of_pre_sl2_exhausts_the_law_search(builtins):
     assert status.evidence["arity"] == 6
 
 
-def test_status_of_sl2_notes_the_aborted_fvl_search(builtins):
+def test_status_of_sl2_decides_the_fvl_exactly(builtins):
     status = assoc_status(builtins["sl2_signed_basis"])
     assert status.kind == "no_law_up_to"
-    assert status.evidence["arity"] == 4
-    assert "aborted" in status.evidence["fvl_search"]
+    assert status.evidence == {"arity": 4}
 
 
 def test_status_payloads_are_json_serializable(builtins):

@@ -19,9 +19,7 @@ from assocf.plmaps import (
     eval_pl,
     format_pl_map,
     from_pl,
-    in_Fk,
     parse_dyadic,
-    parse_pl_map,
     stabilizes_halfpowers,
     support_interval,
     svg_document,
@@ -215,21 +213,6 @@ def test_identity_outside_support(g):
         assert eval_pl(f, x) == x
 
 
-def test_in_Fk():
-    assert in_Fk(GENS["c0"], 2)
-    assert in_Fk(GENS["c1"], 2)
-    assert not in_Fk(GENS["x1"], 2)
-    assert not in_Fk(GENS["x0"], 2)
-    assert in_Fk(th.IDENTITY, 2)
-    # widening: F_2 is contained in F_3
-    assert in_Fk(GENS["c0"], 3)
-    squeezed = th.shift_endo(GENS["c0"], "left")  # support [1/8, 3/8]
-    assert in_Fk(squeezed, 3)
-    assert not in_Fk(squeezed, 2)
-    with pytest.raises(ValueError):
-        in_Fk(GENS["c0"], 1)
-
-
 def test_stabilizes_halfpowers_spot_checks():
     assert stabilizes_halfpowers(th.IDENTITY)
     assert stabilizes_halfpowers(GENS["x1"])
@@ -247,18 +230,6 @@ def test_halfpower_stabilizer_is_closed_under_product_with_x1(g):
 
 
 # --- serialization ----------------------------------------------------------------------
-
-
-@given(elements)
-def test_pl_map_text_round_trip(g):
-    f = to_pl(g)
-    assert parse_pl_map(format_pl_map(f)) == f
-
-
-def test_parse_pl_map_rejects_malformed():
-    for bad in ("", "pl", "pl (0/2^0 -> 0/2^0)", "pl (1 2)"):
-        with pytest.raises(ParseError):
-            parse_pl_map(bad)
 
 
 def test_svg_document_is_deterministic():

@@ -23,3 +23,14 @@ def test_classify_zoo_prints_the_verdicts(capsys):
     assert lines[1].strip() == "arity <= 4: (. (. (. .))) = (. ((. .) .))"
     assert lines[2].startswith("pre_sl2  |S|=4   no_law_up_to (law-search-exhausted)  [")
     assert lines[3].strip() == "arity <= 6"
+
+
+def test_classify_zoo_decides_sl2_without_an_abort(capsys):
+    script = load_script("classify_zoo")
+    assert script.main(["--only", "sl2_signed_basis"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(
+        "sl2_signed_basis  |S|=13  no_law_up_to (law-search-exhausted)  ["
+    )
+    assert lines[1].strip() == "arity <= 4"
