@@ -33,7 +33,12 @@ def parse_args(argv):
         metavar="NAME",
         help="restrict to this builtin (repeatable); default: all",
     )
-    parser.add_argument("--budget", type=int, default=None, help="max added carets")
+    parser.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="largest five-variable-law witness, in added carets, to report",
+    )
     parser.add_argument("--arity-cap", type=int, default=None)
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)

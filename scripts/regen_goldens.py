@@ -36,8 +36,8 @@ CASES = [
     ("magma_check_fails", ["magma", "check", "fixtures/s4.magma", ASSOC]),
     ("magma_eventual_holds", ["magma", "eventual", "fixtures/s3_commutator.magma", ASSOC]),
     ("magma_eventual_exact_fail", ["magma", "eventual", "fixtures/pre_sl2.magma", ASSOC]),
-    ("magma_eventual_budget", ["magma", "eventual", "fixtures/sl2_signed_basis.magma", ASSOC, "--budget", "1"]),
-    ("magma_eventual_past_budget", ["magma", "eventual", "fixtures/s3_commutator.magma", ASSOC, "--budget", "0"]),
+    ("magma_eventual_budget", ["magma", "eventual", "fixtures/sl2_signed_basis.magma", ASSOC]),
+    ("magma_eventual_two_carets", ["magma", "eventual", "fixtures/s3_commutator.magma", "(. (. (. .))) = (((. .) .) .)"]),
     ("magma_solvable", ["magma", "solvable", "fixtures/s3_commutator.magma"]),
     ("magma_solvable_not", ["magma", "solvable", "fixtures/pre_sl2.magma"]),
     ("magma_status_z4", ["magma", "status", "fixtures/z4_addition.magma"]),

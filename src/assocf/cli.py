@@ -99,8 +99,6 @@ def _eventual_payload(res):
         "law": format_law(res.law),
         "holds": res.holds,
         "witness": None if res.witness is None else str(res.witness),
-        "budget": res.budget,
-        "pairs_checked": res.pairs_checked,
     }
 
 
@@ -219,22 +217,14 @@ def _cmd_magma(args):
         )
         return CommandResult("ok", _law_check_payload(check), text=text)
     if args.action == "eventual":
-        res = magmas.satisfies_eventually(
-            m, parse_law(args.law), args.budget, threads=args.threads
-        )
-        payload = _eventual_payload(res)
-        if res.kind == "fails-up-to":
-            text = f"no expansion holds within {res.budget} added carets"
-            return CommandResult(
-                "ok", payload, exit_code=EXIT_BUDGET, text=text
-            )
+        res = magmas.satisfies_eventually(m, parse_law(args.law), threads=args.threads)
         if res.kind == "never":
             text = "never holds (exact: fails on the derived core)"
         elif res.witness.letters:
             text = f"holds at expansion {res.witness}"
         else:
             text = "holds on the nose"
-        return CommandResult("ok", payload, text=text)
+        return CommandResult("ok", _eventual_payload(res), text=text)
     if args.action == "solvable":
         witness = magmas.is_solvable(m)
         chain = magmas.derived_chain(m)
@@ -433,14 +423,18 @@ def build_parser():
     sub = magma.add_parser("eventual")
     sub.add_argument("file")
     sub.add_argument("law")
-    sub.add_argument("--budget", type=int, default=6, help="max added carets")
     _add_common(sub, threads=True)
     sub = magma.add_parser("solvable")
     sub.add_argument("file")
     _add_common(sub)
     sub = magma.add_parser("status")
     sub.add_argument("file")
-    sub.add_argument("--budget", type=int, default=None, help="max added carets")
+    sub.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="largest five-variable-law witness, in added carets, to report",
+    )
     sub.add_argument("--arity-cap", type=int, default=None)
     _add_common(sub, threads=True)
     sub = magma.add_parser("search")
@@ -514,6 +508,9 @@ def run(argv):
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        # checked here, not by argparse, so that it exits 2 with --json honoured
+        if getattr(args, "threads", 1) < 1:
+            raise ParseError(f"thread count must be >= 1, got {args.threads}")
         result = _HANDLERS[args.command](args)
     except ParseError as err:
         result = CommandResult(

@@ -235,16 +235,13 @@ class LawCheck:
 
 @dataclass(frozen=True)
 class EventualResult:
-    """Outcome of satisfies_eventually: "holds" with a caret-minimal witness,
-    "never" (exact: no expansion holds), or "fails-up-to" (some expansion
-    holds, but none within the budget)."""
+    """Outcome of satisfies_eventually, exact either way: "holds" with a
+    caret-minimal witness, or "never" (no expansion holds)."""
 
-    kind: str  # "holds" | "never" | "fails-up-to"
+    kind: str  # "holds" | "never"
     law: Law
     holds: bool
     witness: ExpansionWord = None
-    budget: int = 0
-    pairs_checked: int = 0
 
 
 @dataclass(frozen=True)
@@ -277,6 +274,9 @@ class SolvabilityWitness:
 
 @dataclass(frozen=True)
 class SearchBudgets:
+    """assoc_status's bounds: the most added carets of a five-variable-law
+    witness it reports, the law arity and the tuple space it searches."""
+
     eventual_carets: int = 6
     law_arity_cap: int = 4
     tuple_space_guard: int = 100_000_000
@@ -285,6 +285,10 @@ class SearchBudgets:
         if self.eventual_carets < 0:
             raise ValueError(
                 f"caret budget must be >= 0, got {self.eventual_carets}"
+            )
+        if self.law_arity_cap < 2:
+            raise ValueError(
+                f"law arity cap must be >= 2, got {self.law_arity_cap}"
             )
 
     @staticmethod
@@ -505,47 +509,94 @@ def satisfies(m, law, *, threads=1):
     )
 
 
-def satisfies_eventually(m, law, budget=6, *, threads=1):
-    """Decide whether some simultaneous expansion of the law holds, and find
-    a caret-minimal one within `budget` added carets per side.
+def _graft(blocks):
+    """Expansion word, in application order, grafting a tree at each leaf
+    1, 2, ... of a tree.  A tree is (carets, word), its word from a single
+    leaf, shifted here to its leaf; lowest-leaf-first words stay so."""
+    applied, offset = [], 0
+    for carets, word in blocks:
+        applied.extend(i + offset for i in word)
+        offset += carets + 1
+    return tuple(applied)
+
+
+def _least_trees(table):
+    """Every image of a tree operation, mapped to the least (carets, word),
+    as in _graft, of a tree with that image.
+
+    Im(leaf) = S costs no caret, and Im((L R)) = op(Im L x Im R) one more
+    than L and R.  A combined (carets, word) exceeds both parts and grows
+    with each, so Knuth's generalisation of Dijkstra's algorithm (IPL 6,
+    1977) applies: the least open image is final."""
+    best = {tuple(range(len(table))): (0, ())}
+    done = {}
+    while len(done) < len(best):
+        image = min(best.keys() - done.keys(), key=best.__getitem__)
+        done[image] = best[image]
+        for left, right in {(image, o) for o in done} | {(o, image) for o in done}:
+            carets = done[left][0] + done[right][0] + 1
+            value = (carets, (1,) + _graft((done[left], done[right])))
+            product = _product_image(table, left, right)
+            if product not in best or value < best[product]:
+                best[product] = value
+    return done
+
+
+def _holding_tuples(m, law, images):
+    """Whether the law holds on the product of each tuple of the images
+    (sorted index tuples): a boolean array of shape (len(images),) * n.
+
+    S^n is swept once, a block of the trailing variables (as in _layout)
+    per combination of the leading ones; contracting a block's mismatches
+    with the images' membership vectors, one variable at a time, counts
+    them inside every product of images."""
+    n, table, lhs, rhs = law.arity, m.table, law.lhs, law.rhs
+    member = np.array([np.isin(np.arange(len(m)), image) for image in images], float)
+    domains = _whole(m, n)
+    lead, _ = _layout(domains, _PARTITION_BLOCK)
+    trailing = list(np.ix_(*domains[lead:]))
+    counts = 0
+    for prefix in itertools.product(*domains[:lead]):
+        axes = [*prefix, *trailing]
+        grid = 1.0 * (_tree_values(table, lhs, axes) != _tree_values(table, rhs, axes))
+        for _ in range(n - lead):
+            # contracts the first variable left and appends its image axis
+            grid = np.tensordot(grid, member, axes=([0], [1]))
+        for x in reversed(prefix):
+            grid = np.multiply.outer(member[:, x], grid)
+        counts = counts + grid
+    return counts == 0
+
+
+def satisfies_eventually(m, law, *, threads=1):
+    """Decide whether some simultaneous expansion of the law holds, with a
+    caret-minimal witness when one does; both kinds are exact.
 
     An expansion grafts the same tree T_j at leaf j of both sides, so it
-    holds iff the law holds on the product of the images Im(T_j), where
-    Im(leaf) = S and Im((L R)) = op(Im L x Im R).  Every image contains the
-    derived core D, the last level of the derived chain (the sandwich of
-    is_solvable), and the complete tree of the chain's depth has image
-    exactly D.  So the law holds after some expansion iff it holds on D^n,
-    for arity n: when it fails there the kind is "never", exact, with no
-    search.  When it holds, the expansion frontier is searched
-    breadth-first, one sweep of at most |S|^n tuples per distinct tuple of
-    images, and the kind is "holds" with a caret-minimal witness, or
-    "fails-up-to" when every witness needs more than `budget` carets.  A
-    negative budget raises ValueError.
+    holds iff the law holds on the product of the images Im(T_j).  Every
+    image contains the derived core D, the last level of the derived chain
+    (the sandwich of is_solvable), and a complete tree of the chain's depth
+    has image D, so some expansion holds iff the law holds on D^n; if not,
+    the kind is "never".  Otherwise the witness is the tuple of images on
+    whose product the law holds that is least by total carets
+    (_least_trees), then by grafted word: the first least witness that a
+    breadth-first walk of trees.expansion_frontier meets.
     """
-    pairs = trees.expansion_frontier(law.lhs, law.rhs, budget)
     core = tuple(map(m.index, derived_chain(m).subsets[-1]))
     if not _agree(m, law, [core] * law.arity, threads):
-        return EventualResult("never", law, False, budget=budget)
-    images = {trees.LEAF: tuple(range(len(m)))}
-
-    def image(t):
-        if t not in images:
-            images[t] = _product_image(m.table, image(t[0]), image(t[1]))
-        return images[t]
-
-    addresses = trees.leaf_addresses(law.lhs)
-    # tuple of images -> does the law hold on their product
-    verdicts = {(core,) * law.arity: True}
-    checked = 0
-    for _, lhs, _, applied in pairs:
-        checked += 1
-        key = tuple(image(trees.subtree_at(lhs, a)) for a in addresses)
-        if key not in verdicts:
-            verdicts[key] = _agree(m, law, key, threads)
-        if verdicts[key]:
-            witness = ExpansionWord.from_applied(applied)
-            return EventualResult("holds", law, True, witness, budget, checked)
-    return EventualResult("fails-up-to", law, False, None, budget, checked)
+        return EventualResult("never", law, False)
+    if len(core) == len(m):
+        # the only image is S: the law holds on the nose
+        return EventualResult("holds", law, True, ExpansionWord())
+    least = _least_trees(m.table)
+    images = list(least)
+    ranked = []
+    for index in zip(*np.nonzero(_holding_tuples(m, law, images))):
+        blocks = [least[images[i]] for i in index]
+        ranked.append((sum(c for c, _ in blocks), _graft(blocks)))
+    # the law holds on (core, ..., core), so ranked is not empty
+    witness = ExpansionWord.from_applied(min(ranked)[1])
+    return EventualResult("holds", law, True, witness)
 
 
 def derived_chain(m):
@@ -619,10 +670,11 @@ def assoc_status(m, budgets=None, *, threads=1):
     on a non-associative table certifies the trivial group; the five
     variable law holding after some expansion certifies containing the
     commutator subgroup (on the nose for a simply perfect table, else with
-    a caret-minimal expansion within the caret budget); failing all that,
-    bounded law search reports either exhaustion bounds or the laws it
-    found.  Unknown never claims triviality: that would need
-    no-law-at-every-arity, which bounded search cannot certify.
+    a caret-minimal expansion, reported when it is within the caret
+    budget); failing all that, bounded law search reports either
+    exhaustion bounds or the laws it found.  Unknown never claims
+    triviality: that would need no-law-at-every-arity, which bounded search
+    cannot certify.
     """
     budgets = budgets or SearchBudgets.for_size(len(m))
     assoc = m.associativity
@@ -653,8 +705,9 @@ def assoc_status(m, budgets=None, *, threads=1):
             },
         )
     fvl = five_variable_law()
-    eventual = satisfies_eventually(m, fvl, budgets.eventual_carets, threads=threads)
-    if eventual.holds:
+    eventual = satisfies_eventually(m, fvl, threads=threads)
+    # a witness past the caret budget is left to the law search
+    if eventual.holds and len(eventual.witness) <= budgets.eventual_carets:
         # on a simply perfect table every image is S: no expansion to show
         if m.simply_perfect:
             return AssocStatus("contains_commutator", "fvl-on-the-nose", {"law": fvl})

@@ -223,10 +223,6 @@ class PLMap:
 IDENTITY_MAP = PLMap(((ZERO, ZERO), (ONE, ONE)))
 
 
-def identity_map():
-    return IDENTITY_MAP
-
-
 def eval_pl(f, x):
     """Exact value of f at a dyadic x in [0, 1]."""
     x = Dyadic._coerce(x)

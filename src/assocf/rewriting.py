@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import thompson, trees
 from .errors import BudgetExceeded, ParseError
-from .magmas import Law, format_law, parse_law
+from .magmas import Law, parse_law
 from .trees import LEAF, ExpansionWord, format_tree, leaf_count
 
 # BFS state space at n leaves is the Catalan number C(n-1); 14 leaves
@@ -64,10 +64,6 @@ def load_variety(text):
     if not laws:
         raise ParseError("no laws in variety file")
     return VarietyPresentation(tuple(laws))
-
-
-def dump_variety(v):
-    return "".join(format_law(law) + "\n" for law in v.laws)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ the current leaf count), subject to
 where the right factor of a product acts first.
 """
 
-import random
-
 from .errors import BudgetExceeded, ParseError
 
 # A leaf is (), a node is a 2-tuple of trees.
@@ -286,21 +284,6 @@ def complete_tree(depth):
     return t
 
 
-def right_comb(n):
-    t = LEAF
-    for _ in range(n - 1):
-        t = (LEAF, t)
-    return t
-
-
-def random_tree(rng, n):
-    """A random tree with n leaves (random splits, not uniform on shapes)."""
-    if n == 1:
-        return LEAF
-    k = rng.randint(1, n - 1)
-    return (random_tree(rng, k), random_tree(rng, n - k))
-
-
 _TREE_LISTS = {1: (LEAF,)}
 
 
@@ -392,20 +375,6 @@ def _prepend(x, word):
     return (word[0] + 1,) + _prepend(x, word[1:])
 
 
-def parse_expansion_word(text):
-    text = text.strip()
-    if not (text.startswith("b[") and text.endswith("]")):
-        raise ParseError("expansion word must look like b[4,2]", 0)
-    body = text[2:-1].strip()
-    if not body:
-        return ExpansionWord()
-    try:
-        letters = tuple(int(part) for part in body.split(","))
-    except ValueError:
-        raise ParseError(f"bad expansion word body {body!r}", 2) from None
-    return ExpansionWord(letters)
-
-
 def expansion_path(target, base):
     """Canonical word carrying base to target, or None.
 
@@ -423,17 +392,3 @@ def expansion_path(target, base):
                 t = expand(t, i)
                 break
     return ExpansionWord.from_applied(applied)
-
-
-def common_left_multiples(b1, b2):
-    """Words (b3, b4) with b3 b1 = b4 b2 in the monoid.
-
-    Realized on a right comb wide enough that every letter of b1 and b2
-    expands an actual leaf, so no letter acts as the identity.
-    """
-    n = max([1, *b1.letters, *b2.letters])
-    base = right_comb(n)
-    t1 = b1.apply(base)
-    t2 = b2.apply(base)
-    j = join(t1, t2)
-    return expansion_path(j, t1), expansion_path(j, t2)

@@ -24,6 +24,21 @@ def rng():
     return random.Random(20260817)
 
 
+def random_tree(rng, n):
+    """A random tree with n leaves (random splits, not uniform on shapes)."""
+    if n == 1:
+        return ()
+    k = rng.randint(1, n - 1)
+    return (random_tree(rng, k), random_tree(rng, n - k))
+
+
+def right_comb(n):
+    t = ()
+    for _ in range(n - 1):
+        t = ((), t)
+    return t
+
+
 def random_magma(seed, size):
     """A uniformly random operation table, stdlib-seeded for reproducibility."""
     gen = np.random.default_rng(seed)

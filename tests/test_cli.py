@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_tree
+
 from assocf import cli
 from assocf.magmas import load_magma
-from assocf.trees import PARSE_DEPTH_CAP, format_tree, random_tree
+from assocf.trees import PARSE_DEPTH_CAP, format_tree
 from assocf.zoo import BUILTINS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -68,6 +70,10 @@ def test_usage_errors_exit_1(capsys):
     assert cli.run(["tree"]) == 1
     assert cli.run([]) == 1
     assert cli.run(["magma", "search", "fixtures/s4.magma"]) == 1
+    # eventual satisfaction is decided exactly: there is no budget to give
+    assert cli.run(
+        ["magma", "eventual", "fixtures/s4.magma", ASSOC, "--budget", "1"]
+    ) == 1
 
 
 def test_bad_input_exits_2(capsys):
@@ -212,16 +218,40 @@ def test_parser_is_built_once_and_survives_usage_errors(capsys):
     "argv",
     [
         ["variety", "member", "fixtures/x1_law.variety", "x0", "--budget", "-2"],
-        ["magma", "eventual", "fixtures/s3_commutator.magma", ASSOC, "--budget", "-1"],
-        ["magma", "eventual", "fixtures/z4_addition.magma", ASSOC, "--budget", "-1"],
         ["magma", "status", "fixtures/s4.magma", "--budget", "-1"],
     ],
-    ids=["variety-member", "magma-eventual", "magma-eventual-perfect", "magma-status"],
+    ids=["variety-member", "magma-status"],
 )
 def test_negative_caret_budgets_exit_2(argv, capsys):
     code, out = run_capture(argv, capsys)
     assert code == 2
     assert out == "error: caret budget must be >= 0, got %s\n" % argv[-1]
+
+
+@pytest.mark.parametrize("cap", ["-1", "0", "1"])
+def test_law_arity_cap_below_2_exits_2(cap, capsys):
+    argv = ["magma", "status", "fixtures/s4.magma", "--arity-cap", cap]
+    code, out = run_capture(argv, capsys)
+    assert (code, out) == (2, f"error: law arity cap must be >= 2, got {cap}\n")
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize(
+    "action",
+    [
+        ["check", "fixtures/s4.magma", ASSOC],
+        ["eventual", "fixtures/s3_commutator.magma", ASSOC],
+        ["status", "fixtures/s4.magma"],
+        ["search", "fixtures/s4.magma", "3"],
+    ],
+    ids=["check", "eventual", "status", "search"],
+)
+def test_thread_count_below_1_exits_2(action, threads, capsys):
+    argv = ["magma", *action, "--threads", threads]
+    message = f"thread count must be >= 1, got {threads}"
+    assert run_capture(argv, capsys) == (2, f"error: {message}\n")
+    code, out = run_capture(argv + ["--json"], capsys)
+    assert (code, json.loads(out)["payload"]) == (2, {"error": message})
 
 
 @pytest.mark.parametrize(
@@ -350,7 +380,7 @@ ARGV = st.one_of(
     argv_of("f", "mul", WORDS, WORDS),
     argv_of("f", "reduce", SHALLOW_TREES, SHALLOW_TREES),
     argv_of("f", "normal-member", WORDS, SMALL_INTS, SMALL_INTS),
-    argv_of("magma", "eventual", MAGMAS, LAWS, "--budget", BUDGETS),
+    argv_of("magma", "eventual", MAGMAS, LAWS, "--threads", SMALL_INTS),
     argv_of("magma", "status", MAGMAS, "--budget", BUDGETS),
     argv_of("magma", "check", MAGMAS, LAWS),
     argv_of("magma", "image", MAGMAS, GOOD_TREES.filter(lambda t: t.count(".") <= 4)),

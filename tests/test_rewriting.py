@@ -8,9 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_tree, right_comb
+
 from assocf import plmaps, rewriting, thompson as th, trees, zoo
 from assocf.errors import BudgetExceeded, ParseError
-from assocf.magmas import Law, associative_law, evaluate, five_variable_law, parse_law
+from assocf.magmas import (
+    Law,
+    associative_law,
+    evaluate,
+    five_variable_law,
+    format_law,
+    parse_law,
+)
 from assocf.rewriting import (
     LEAF_CAP,
     RewriteStep,
@@ -18,7 +27,6 @@ from assocf.rewriting import (
     apply_step,
     closure_generate,
     derivable,
-    dump_variety,
     eventually_derivable,
     format_proof,
     instantiate,
@@ -37,7 +45,7 @@ R2 = trees.parse_tree("((. (. .)) (. .))")
 
 tree_strategy = st.integers(1, 6).flatmap(
     lambda n: st.integers(0, 2**31).map(
-        lambda s: trees.random_tree(random.Random(s), n)
+        lambda s: random_tree(random.Random(s), n)
     )
 )
 
@@ -57,7 +65,7 @@ def test_presentation_from_elements():
 
 
 def test_variety_file_round_trip():
-    text = dump_variety(X1_VARIETY)
+    text = "".join(format_law(law) + "\n" for law in X1_VARIETY.laws)
     assert load_variety(text).laws == X1_VARIETY.laws
     commented = "# generator\n\n" + text
     assert load_variety(commented).laws == X1_VARIETY.laws
@@ -156,11 +164,11 @@ def test_derivable_validates_leaf_counts():
 
 
 def test_derivable_enforces_leaf_cap():
-    big = trees.right_comb(LEAF_CAP + 1)
+    big = right_comb(LEAF_CAP + 1)
     with pytest.raises(BudgetExceeded):
         derivable(big, trees.reflect(big), ASSOC)
     # the cap is adjustable in both directions
-    small = trees.right_comb(8)
+    small = right_comb(8)
     with pytest.raises(BudgetExceeded):
         derivable(small, trees.reflect(small), ASSOC, leaf_cap=7)
     assert derivable(small, trees.reflect(small), ASSOC, leaf_cap=8)
@@ -168,7 +176,7 @@ def test_derivable_enforces_leaf_cap():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_associativity_gives_one_class_per_leaf_count(n):
-    comb = trees.right_comb(n)
+    comb = right_comb(n)
     others = trees.enumerate_trees(n)
     proofs = [derivable(comb, t, ASSOC) for t in others]
     assert all(p is not None for p in proofs)
@@ -195,10 +203,10 @@ def test_derivable_respects_models():
     z4 = zoo.cyclic_addition(4)
     gen = random.Random(7)
     for t in trees.enumerate_trees(4):
-        assert derivable(trees.right_comb(4), t, ASSOC) is not None
+        assert derivable(right_comb(4), t, ASSOC) is not None
         for _ in range(5):
             args = tuple(gen.choice(z4.elements) for _ in range(4))
-            assert evaluate(z4, trees.right_comb(4), args) == evaluate(z4, t, args)
+            assert evaluate(z4, right_comb(4), args) == evaluate(z4, t, args)
 
 
 def test_x1_classes_are_finer_than_associative_ones():
@@ -405,7 +413,7 @@ def sized_trees(lo, hi):
     return st.integers(lo, hi).flatmap(
         lambda n: st.tuples(st.integers(0, 2**31), st.integers(0, 2**31)).map(
             lambda seeds: tuple(
-                trees.random_tree(random.Random(s), n) for s in seeds
+                random_tree(random.Random(s), n) for s in seeds
             )
         )
     )
@@ -445,8 +453,8 @@ def test_eventually_derivable_matches_the_reference(name, pair, budget, prune):
 def random_laws(seeds):
     laws = []
     for n, a, b in seeds:
-        lhs = trees.random_tree(random.Random(a), n)
-        rhs = trees.random_tree(random.Random(b), n)
+        lhs = random_tree(random.Random(a), n)
+        rhs = random_tree(random.Random(b), n)
         laws.append(Law(lhs, rhs))
     return VarietyPresentation(tuple(laws))
 

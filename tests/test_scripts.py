@@ -2,6 +2,7 @@
 the library's current API, so a changed signature shows up here."""
 
 import importlib.util
+import json
 import pathlib
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -34,3 +35,15 @@ def test_classify_zoo_decides_sl2_without_an_abort(capsys):
         "sl2_signed_basis  |S|=13  no_law_up_to (law-search-exhausted)  ["
     )
     assert lines[1].strip() == "arity <= 4"
+
+
+def test_regen_goldens_cases_match_the_golden_files():
+    # each golden is written from CASES, so an edit to one must reach both
+    script = load_script("regen_goldens")
+    cases = dict(script.CASES)
+    assert len(cases) == len(script.CASES)
+    goldens = {
+        path.stem: json.loads(path.read_text())["argv"]
+        for path in (REPO / "tests" / "golden").glob("*.json")
+    }
+    assert goldens == cases

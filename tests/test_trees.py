@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_tree, right_comb
+
 from assocf import trees
 from assocf.errors import BudgetExceeded, ParseError
 from assocf.trees import (
     LEAF,
     ExpansionWord,
-    common_left_multiples,
     complete_tree,
     enumerate_trees,
     expand,
@@ -24,13 +25,10 @@ from assocf.trees import (
     join,
     leaf_addresses,
     leaf_count,
-    parse_expansion_word,
     parse_tree,
-    random_tree,
     reflect,
     remove_caret,
     replace_at,
-    right_comb,
     shift,
     subtree_at,
     vertices,
@@ -268,19 +266,9 @@ def test_canonical_form_is_stable(letters):
     assert ExpansionWord.from_applied(word.applied_order) == word
 
 
-@given(letters_strategy)
-def test_expansion_word_text_round_trip(letters):
-    word = ExpansionWord(letters)
-    assert parse_expansion_word(str(word)) == word
-
-
 def test_expansion_word_rejects_bad_input():
     with pytest.raises(ParseError):
         ExpansionWord((0,))
-    with pytest.raises(ParseError):
-        parse_expansion_word("b[1,]")
-    with pytest.raises(ParseError):
-        parse_expansion_word("beta[1]")
     with pytest.raises(AttributeError):
         ExpansionWord().letters = (1,)
 
@@ -317,10 +305,3 @@ def test_expansion_frontier_rejects_a_negative_budget_when_called():
 def test_expansion_path_none_when_not_an_expansion():
     assert expansion_path(LEAF, (LEAF, LEAF)) is None
     assert expansion_path(((LEAF, LEAF), LEAF), (LEAF, (LEAF, LEAF))) is None
-
-
-@given(letters_strategy, letters_strategy)
-def test_common_left_multiples_equalize(u, v):
-    b1, b2 = ExpansionWord(u), ExpansionWord(v)
-    c1, c2 = common_left_multiples(b1, b2)
-    assert ExpansionWord(c1.letters + b1.letters) == ExpansionWord(c2.letters + b2.letters)
