@@ -24,6 +24,12 @@ class RunConfig:
     arity_cap: int | None
     threads: int
 
+    def __post_init__(self):
+        # the CLI's checks, made before any table is classified
+        if self.threads < 1:
+            raise ValueError(f"thread count must be >= 1, got {self.threads}")
+        budgets_for(0, self)
+
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -49,8 +55,8 @@ def parse_args(argv):
     return RunConfig(names, args.budget, args.arity_cap, args.threads)
 
 
-def budgets_for(m, cfg):
-    budgets = magmas.SearchBudgets.for_size(len(m.elements))
+def budgets_for(size, cfg):
+    budgets = magmas.SearchBudgets.for_size(size)
     if cfg.budget is not None:
         budgets = dataclasses.replace(budgets, eventual_carets=cfg.budget)
     if cfg.arity_cap is not None:
@@ -75,12 +81,16 @@ def evidence_summary(status):
 
 
 def main(argv=None):
-    cfg = parse_args(sys.argv[1:] if argv is None else argv)
+    try:
+        cfg = parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as err:  # malformed input exits 2, as in the CLI
+        print(f"error: {err}")
+        return 2
     width = max(len(n) for n in cfg.names)
     for name in cfg.names:
         m = zoo.BUILTINS[name]()
         start = time.perf_counter()
-        status = magmas.assoc_status(m, budgets_for(m, cfg), threads=cfg.threads)
+        status = magmas.assoc_status(m, budgets_for(len(m), cfg), threads=cfg.threads)
         elapsed = time.perf_counter() - start
         print(
             f"{name:<{width}}  |S|={len(m.elements):<3} "

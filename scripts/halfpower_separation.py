@@ -34,6 +34,15 @@ class RunConfig:
     depth: int
     word_cap: int | None
 
+    def __post_init__(self):
+        for name, bound in (
+            ("caret budget", self.budget),
+            ("closure depth", self.depth),
+            ("closure word cap", self.word_cap),
+        ):
+            if bound is not None and bound < 0:
+                raise ValueError(f"{name} must be >= 0, got {bound}")
+
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -60,7 +69,11 @@ def first_moved_halfpower(g):
 
 
 def main(argv=None):
-    cfg = parse_args(sys.argv[1:] if argv is None else argv)
+    try:
+        cfg = parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as err:  # malformed input exits 2, as in the CLI
+        print(f"error: {err}")
+        return 2
     variety = rewriting.VarietyPresentation((parse_law(X1_LAW_TEXT),))
     r1, r2 = parse_tree(R1_TEXT), parse_tree(R2_TEXT)
 

@@ -275,11 +275,13 @@ class SolvabilityWitness:
 @dataclass(frozen=True)
 class SearchBudgets:
     """assoc_status's bounds: the most added carets of a five-variable-law
-    witness it reports, the law arity and the tuple space it searches."""
+    witness it reports, the law arity it searches, and the evaluations
+    (trees x tuples) one arity of the law search may make.  The default
+    guard stops the arity-3 search from 369 elements on."""
 
     eventual_carets: int = 6
     law_arity_cap: int = 4
-    tuple_space_guard: int = 100_000_000
+    evaluation_guard: int = 100_000_000
 
     def __post_init__(self):
         if self.eventual_carets < 0:
@@ -646,16 +648,17 @@ def search_laws(m, n, *, budgets=None, force=False, threads=1):
 
     The n-leaf trees are partitioned by their values on every tuple, each
     tree evaluated once per block, and the laws are the pairs (i, j), i < j
-    in enumeration order, that share a class.  Guarded by tuple-space size
-    unless forced.
+    in enumeration order, that share a class.  Unless forced, guarded by
+    the tree evaluations it makes: Catalan(n-1) trees on |S|^n tuples.
     """
     budgets = budgets or SearchBudgets.for_size(len(m))
     size = len(m)
-    space = size**n
-    if space > budgets.tuple_space_guard and not force:
+    n_trees = math.comb(2 * n - 2, n - 1) // n
+    work = n_trees * size**n
+    if work > budgets.evaluation_guard and not force:
         raise BudgetExceeded(
-            f"tuple space {size}^{n} = {space} exceeds guard "
-            f"{budgets.tuple_space_guard} (force to override)"
+            f"{n_trees} trees on {size}^{n} tuples = {work} evaluations "
+            f"exceed guard {budgets.evaluation_guard} (force to override)"
         )
     shapes = trees.enumerate_trees(n)
     classes = _partition(m.table, shapes, _whole(m, n), threads)

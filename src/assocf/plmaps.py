@@ -2,21 +2,18 @@
 
 Every element of F acts on [0, 1] as an increasing PL homeomorphism with
 dyadic breakpoints and power-of-two slopes.  This module converts tree pairs
-to and from that model, composes and evaluates maps exactly, and answers the
-support questions (where does an element differ from the identity, does it
-live inside [1/2^k, 1 - 1/2^k], does it permute the half-powers 1/2^n).
+to and from that model, composes and evaluates maps exactly, and answers
+whether an element permutes the half-powers 1/2^n.
 
 No floating point anywhere.  SVG output uses exact decimal strings.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
 from functools import total_ordering
 
 from . import trees
-from .errors import ParseError
 from .thompson import reduce_pair
 
 
@@ -124,17 +121,6 @@ class Dyadic:
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
 
-_DYADIC_RE = re.compile(r"(-?\d+)(?:/2\^(\d+))?")
-
-
-def parse_dyadic(text):
-    """Parse "n/2^e" (or a bare integer "n")."""
-    m = _DYADIC_RE.fullmatch(text.strip())
-    if m is None:
-        raise ParseError(f"bad dyadic literal {text!r}")
-    return Dyadic(int(m.group(1)), int(m.group(2) or 0))
-
-
 def _slope_log2(p0, p1):
     """log2 of the segment slope, or None if it is not a power of 2."""
     dx = p1[0] - p0[0]
@@ -220,9 +206,6 @@ class PLMap:
         return f"<PLMap {format_pl_map(self)}>"
 
 
-IDENTITY_MAP = PLMap(((ZERO, ZERO), (ONE, ONE)))
-
-
 def eval_pl(f, x):
     """Exact value of f at a dyadic x in [0, 1]."""
     x = Dyadic._coerce(x)
@@ -247,18 +230,7 @@ def compose_pl(f, g):
 
 def _boundaries(t):
     """Dyadic endpoints of the leaf intervals of t, from 0 to 1."""
-    out = [ZERO]
-
-    def walk(node, lo, hi):
-        if trees.is_leaf(node):
-            out.append(hi)
-            return
-        mid = (lo + hi).times_pow2(-1)
-        walk(node[0], lo, mid)
-        walk(node[1], mid, hi)
-
-    walk(t, ZERO, ONE)
-    return out
+    return [ZERO] + [Dyadic(k + 1, d) for k, d in trees.leaf_intervals(t)]
 
 
 def to_pl(g):
@@ -300,35 +272,14 @@ def from_pl(f):
 
 
 def _tree_from_cuts(cuts):
-    # A cut strictly inside (lo, hi) forces a split there; the midpoint is
-    # always a cut in that case because no standard interval straddles it.
-    cut_set = set(cuts)
+    # Consecutive cuts bound standard intervals [k/2^d, (k+1)/2^d].
+    def interval(lo, hi):
+        d = (hi - lo).exp
+        return lo.num << (d - lo.exp), d
 
-    def build(lo, hi):
-        mid = (lo + hi).times_pow2(-1)
-        if mid in cut_set:
-            return (build(lo, mid), build(mid, hi))
-        return trees.LEAF
-
-    return build(ZERO, ONE)
-
-
-def support_interval(g):
-    """Smallest closed dyadic interval outside which g acts as the identity.
-
-    The identity element gets the degenerate interval (0, 0).
-    """
-    pts = to_pl(g).points
-    n = len(pts)
-    lo = 0
-    while lo < n and pts[lo][0] == pts[lo][1]:
-        lo += 1
-    if lo == n:
-        return (ZERO, ZERO)
-    hi = n - 1
-    while pts[hi][0] == pts[hi][1]:
-        hi -= 1
-    return (pts[lo - 1][0], pts[hi + 1][0])
+    return trees.from_leaf_intervals(
+        interval(lo, hi) for lo, hi in zip(cuts, cuts[1:])
+    )
 
 
 def stabilizes_halfpowers(g):

@@ -87,55 +87,9 @@ class RewriteStep:
         return f"at {where}: law #{self.law_index + 1} {arrow}"
 
 
-def _shape(pattern):
-    """The pattern's vertices in preorder: True for a caret, False for a
-    variable."""
-    out = []
-    pending = [pattern]
-    while pending:
-        node = pending.pop()
-        if trees.is_leaf(node):
-            out.append(False)
-        else:
-            out.append(True)
-            pending.append(node[1])
-            pending.append(node[0])
-    return tuple(out)
-
-
-def _capture(shape, t):
-    # Walk t in the preorder of the shape; variables capture whole subtrees.
-    captured = []
-    pending = [t]
-    for caret in shape:
-        sub = pending.pop()
-        if not caret:
-            captured.append(sub)
-        elif sub == LEAF:
-            return None
-        else:
-            pending.append(sub[1])
-            pending.append(sub[0])
-    return tuple(captured)
-
-
-def _graft(reversed_shape, substitution):
-    # Read back to front, the shape meets the last variable and each right
-    # subtree first, so every caret pops its (left, right) children.
-    built = []
-    k = len(substitution)
-    for caret in reversed_shape:
-        if caret:
-            built.append((built.pop(), built.pop()))
-        else:
-            k -= 1
-            built.append(substitution[k])
-    return built[0]
-
-
 def instantiate(pattern, substitution):
     """Graft substitution subtrees onto the pattern's leaves, in order."""
-    shape = _shape(pattern)
+    shape = trees.preorder_shape(pattern)
     used = shape.count(False)
     if used > len(substitution):
         raise ValueError(
@@ -146,7 +100,7 @@ def instantiate(pattern, substitution):
         raise ValueError(
             f"pattern has {used} variables, substitution has {len(substitution)}"
         )
-    return _graft(shape[::-1], substitution)
+    return trees.graft(shape, substitution)
 
 
 def match(pattern, t):
@@ -157,7 +111,7 @@ def match(pattern, t):
     The pattern is read as its preorder shape, the form the rewrite search
     compiles each law side into once per search.
     """
-    return _capture(_shape(pattern), t)
+    return trees.capture(trees.preorder_shape(pattern), t)
 
 
 def apply_step(t, step):
@@ -196,7 +150,7 @@ class _Rule(NamedTuple):
     """One direction of a law, compiled for the search."""
 
     src: tuple  # preorder shape of the side that must match
-    dst: tuple  # preorder shape of the side put in its place, reversed
+    dst: tuple  # preorder shape of the side put in its place
     law: Law
     law_index: int
     forward: bool
@@ -211,7 +165,10 @@ def _rules(variety):
         for forward in (True, False):
             src, dst = (law.lhs, law.rhs) if forward else (law.rhs, law.lhs)
             out.append(
-                _Rule(_shape(src), _shape(dst)[::-1], law, law_index, forward)
+                _Rule(
+                    trees.preorder_shape(src), trees.preorder_shape(dst),
+                    law, law_index, forward,
+                )
             )
     return tuple(out)
 
@@ -227,9 +184,9 @@ def _rewrites(t, rules, vertex=""):
         return []
     out = []
     for rule in rules:
-        captured = _capture(rule.src, t)
+        captured = trees.capture(rule.src, t)
         if captured is not None:
-            out.append((_graft(rule.dst, captured), vertex, rule, captured))
+            out.append((trees.graft(rule.dst, captured), vertex, rule, captured))
     left, right = t
     out += [
         ((new, right), at, rule, captured)
@@ -413,10 +370,11 @@ def closure_generate(generators, depth, *, word_cap=None):
             seeds.add(shift_at_vertex(thompson.invert(g), word))
     if depth < 1:
         return frozenset({thompson.IDENTITY})
-    current = frozenset(seeds)
+    # every element kept is rebuilt from shared nodes as soon as it is made
+    current = frozenset(map(thompson.share, seeds))
     for _ in range(depth - 1):
         current = frozenset(
-            thompson.multiply(a, b) for a in current for b in seeds
+            thompson.share(thompson.multiply(a, b)) for a in current for b in seeds
         )
     return current
 

@@ -2,7 +2,10 @@
 
 A tree is an immutable nested structure: the empty tuple ``()`` is the
 single-leaf tree, and a pair ``(left, right)`` is an interior node with
-two subtrees.  Leaves are numbered 1..n from left to right.  Vertices
+two subtrees.  parse_tree and share build their nodes through a bounded
+sharing table, so equal subtrees of the trees the program keeps are mostly
+one object.  Only memory depends on that: every routine compares trees by
+value.  Leaves are numbered 1..n from left to right.  Vertices
 are addressed by words over {0,1} ("" is the root, 0 = left child,
 1 = right child), so the leaf addresses of a tree read in left-to-right
 order are exactly its leaf numbering.
@@ -33,6 +36,36 @@ TREE_ENUMERATION_CAP = 14
 # leaves half of Python's default recursion limit to the callers.
 PARSE_DEPTH_CAP = 500
 
+# Most nodes the sharing table holds; it starts over empty when full.
+SHARE_CAP = 1 << 14
+
+# (id(left), id(right)) -> the one node kept with those two children.  Nodes
+# built through it share their equal subtrees, so the trees the program
+# keeps cost one node per distinct subtree (Filliatre-Conchon hash-consing,
+# with a bounded table).  A kept node holds its children, so the ids in a
+# key stay unique while its entry lives, and the entries go all at once.
+_SHARED = {}
+
+
+def _node(left, right):
+    key = (id(left), id(right))
+    kept = _SHARED.get(key)
+    if kept is None:
+        if len(_SHARED) >= SHARE_CAP:
+            _SHARED.clear()
+        _SHARED[key] = kept = (left, right)
+    return kept
+
+
+def share(t):
+    """The tree equal to t built from the sharing table's nodes."""
+    if t == LEAF:
+        return LEAF
+    left, right = t
+    if _SHARED.get((id(left), id(right))) is t:
+        return t
+    return _node(share(left), share(right))
+
 
 def is_leaf(t):
     return t == LEAF
@@ -47,7 +80,9 @@ def leaf_count(t):
 def parse_tree(text):
     """Parse the "." / "(L R)" literal form. Whitespace is ignored.
 
-    Nesting deeper than PARSE_DEPTH_CAP raises BudgetExceeded: the other
+    Every node comes from the sharing table, so an equal literal parsed
+    while the table still holds it gives back the same object.  Nesting
+    deeper than PARSE_DEPTH_CAP raises BudgetExceeded: the other
     tree routines recurse once per level.
     """
     open_carets = []  # children parsed so far of each open caret, innermost last
@@ -60,7 +95,7 @@ def parse_tree(text):
         if open_carets and len(open_carets[-1]) == 2:
             if ch != ")":
                 raise ParseError("expected ')'", pos)
-            node = tuple(open_carets.pop())
+            node = _node(*open_carets.pop())
         elif ch == "(":
             if len(open_carets) == PARSE_DEPTH_CAP:
                 raise BudgetExceeded(
@@ -250,6 +285,84 @@ def join(a, b):
     if b == LEAF:
         return a
     return (join(a[0], b[0]), join(a[1], b[1]))
+
+
+def preorder_shape(t):
+    """t's vertices in preorder: True for a caret, False for a leaf."""
+    out = []
+    pending = [t]
+    while pending:
+        node = pending.pop()
+        if node == LEAF:
+            out.append(False)
+        else:
+            out.append(True)
+            pending.append(node[1])
+            pending.append(node[0])
+    return tuple(out)
+
+
+def capture(shape, t):
+    """The subtrees of t under the leaves of the tree of this preorder
+    shape, in leaf order, or None when t is not an expansion of it."""
+    captured = []
+    pending = [t]
+    for caret in shape:
+        sub = pending.pop()
+        if not caret:
+            captured.append(sub)
+        elif sub == LEAF:
+            return None
+        else:
+            pending.append(sub[1])
+            pending.append(sub[0])
+    return tuple(captured)
+
+
+def graft(shape, subtrees):
+    """The tree of this preorder shape with the i-th of `subtrees` hung at
+    its i-th leaf; `subtrees` holds one tree per leaf."""
+    # Read back to front, the shape meets the last leaf and each right
+    # subtree first, so every caret pops its (left, right) children.
+    built = []
+    k = len(subtrees)
+    for caret in reversed(shape):
+        if caret:
+            built.append((built.pop(), built.pop()))
+        else:
+            k -= 1
+            built.append(subtrees[k])
+    return built[0]
+
+
+def leaf_intervals(t):
+    """(k, d) for each leaf, left to right: the leaf spans [k/2^d, (k+1)/2^d]."""
+    out = []
+
+    def walk(t, k, d):
+        if t == LEAF:
+            out.append((k, d))
+        else:
+            walk(t[0], 2 * k, d + 1)
+            walk(t[1], 2 * k + 1, d + 1)
+
+    walk(t, 0, 0)
+    return out
+
+
+def from_leaf_intervals(intervals):
+    """The tree whose leaf_intervals are `intervals`: each leaf goes on a
+    stack and merges with the one below it while the two are the halves
+    of one standard interval."""
+    stack = []
+    for k, d in intervals:
+        t = LEAF
+        while stack and stack[-1][2] == d and stack[-1][1] % 2 == 0:
+            left, k, d = stack.pop()
+            t, k, d = (left, t), k >> 1, d - 1
+        stack.append((t, k, d))
+    [(t, _, _)] = stack
+    return t
 
 
 def is_expansion(big, small):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from assocf import zoo
+from assocf.plmaps import ZERO, to_pl
 
 settings.register_profile(
     "suite",
@@ -37,6 +38,27 @@ def right_comb(n):
     for _ in range(n - 1):
         t = ((), t)
     return t
+
+
+def nodes(trees):
+    """Every interior node of the given trees, keyed by object identity."""
+    out, stack = {}, list(trees)
+    while stack:
+        t = stack.pop()
+        if t != () and id(t) not in out:
+            out[id(t)] = t
+            stack.extend(t)
+    return out
+
+
+def support_interval(g):
+    """Smallest closed dyadic interval outside which g acts as the identity,
+    read off its PL map; the identity element gets (0, 0)."""
+    pts = to_pl(g).points
+    moved = [i for i, (x, y) in enumerate(pts) if x != y]
+    if not moved:
+        return (ZERO, ZERO)
+    return (pts[moved[0] - 1][0], pts[moved[-1] + 1][0])
 
 
 def random_magma(seed, size):

@@ -96,7 +96,7 @@ def test_bad_input_exits_2(capsys):
 
 
 def test_budget_exits_3(capsys):
-    # 60^5 candidate tuples trip the cost guard before any work happens
+    # 14 trees on 60^5 tuples trip the cost guard before any work happens
     code, out = run_capture(
         ["magma", "search", "fixtures/a5_commutator.magma", "5"], capsys
     )
@@ -112,6 +112,16 @@ def test_budget_error_in_json_mode(capsys):
     parsed = json.loads(out)
     assert parsed["status"] == "error"
     assert "guard" in parsed["payload"]["error"]
+
+
+def test_status_past_the_law_search_guard_exits_3(capsys):
+    # at arity 9, 1430 trees on 4^9 tuples exceed the guard; the sweeps of
+    # arities 3-8 before it take well under a second
+    code, out = run_capture(
+        ["magma", "status", "fixtures/pre_sl2.magma", "--arity-cap", "15"], capsys
+    )
+    assert code == 3
+    assert out.startswith("budget exhausted: 1430 trees on 4^9 tuples = 374865920 ")
 
 
 def test_search_force_overrides_guard(capsys):
@@ -278,6 +288,18 @@ def test_exponent_past_the_cap_exits_3_at_once(capsys):
     code, out = run_capture(["f", "word", "x0^-99999999999"], capsys)
     assert code == 3
     assert out.startswith("budget exhausted: exponent -99999999999")
+
+
+def test_a_power_of_a_power_too_deep_to_build_exits_3(capsys):
+    # each exponent is within the cap, but x0^40000 is about 40000 levels deep;
+    # power stops at x0^400 * x0^400
+    code, out = run_capture(["f", "word", "(x0^200)^200"], capsys)
+    assert (code, out) == (
+        3, "budget exhausted: a product of 401 and 401 carets could nest deeper "
+        "than 500 levels\n"
+    )
+    code, out = run_capture(["f", "word", "(x0^200)^2"], capsys)
+    assert code == 0 and out.startswith("pair ")
 
 
 # ---------------------------------------------------------------------------

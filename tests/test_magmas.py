@@ -623,11 +623,31 @@ def test_search_matches_the_pairwise_reference(m, n):
 
 def test_search_tuple_space_guard(builtins):
     z4 = builtins["z4_addition"]
-    tiny = SearchBudgets(tuple_space_guard=10)
+    tiny = SearchBudgets(evaluation_guard=10)
     with pytest.raises(BudgetExceeded):
         search_laws(z4, 3, budgets=tiny)
     forced = search_laws(z4, 3, budgets=tiny, force=True)
     assert len(forced) == 1 and same_sides(forced[0], associative_law())
+
+
+def test_search_guard_counts_every_tree_on_every_tuple(builtins):
+    # arity 3 evaluates Catalan(2) = 2 trees on each of the 4^3 tuples
+    z4 = builtins["z4_addition"]
+    assert search_laws(z4, 3, budgets=SearchBudgets(evaluation_guard=128))
+    with pytest.raises(BudgetExceeded, match=r"^2 trees on 4\^3 tuples = 128 "):
+        search_laws(z4, 3, budgets=SearchBudgets(evaluation_guard=127))
+
+
+def test_default_guard_stops_arity_3_from_369_elements():
+    # tables of more than 60 elements search to arity 3: 2 trees on 369^3
+    # tuples pass the default 10^8 evaluations, 2 * 368^3 do not; a guard on
+    # tuples alone stopped at 465 elements
+    budgets = SearchBudgets.for_size(369)
+    assert budgets.law_arity_cap == 3
+    assert 2 * 368**3 <= budgets.evaluation_guard < 2 * 369**3
+    big = Magma([str(i) for i in range(369)], np.zeros((369, 369), dtype=int))
+    with pytest.raises(BudgetExceeded, match=r"^2 trees on 369\^3 tuples = 100486818 "):
+        search_laws(big, 3, budgets=budgets)
 
 
 def test_search_refines_across_many_blocks(builtins, monkeypatch):

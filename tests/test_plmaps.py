@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import support_interval
+
 from assocf import plmaps as pl
 from assocf import thompson as th
-from assocf.errors import ParseError
 from assocf.plmaps import (
-    IDENTITY_MAP,
+    ONE,
+    ZERO,
     Dyadic,
     PLMap,
     compose_pl,
@@ -19,14 +21,13 @@ from assocf.plmaps import (
     eval_pl,
     format_pl_map,
     from_pl,
-    parse_dyadic,
     stabilizes_halfpowers,
-    support_interval,
     svg_document,
     to_pl,
 )
 
 GENS = th.generators()
+IDENTITY_MAP = PLMap(((ZERO, ZERO), (ONE, ONE)))
 dyadics = st.tuples(st.integers(-200, 200), st.integers(0, 12)).map(
     lambda p: Dyadic(p[0], p[1])
 )
@@ -59,16 +60,6 @@ def test_dyadic_arithmetic_matches_fractions(a, b):
 def test_dyadic_is_normalized(d):
     # canonical form: odd numerator, or exponent 0
     assert d.num % 2 == 1 or d.exp == 0
-    assert parse_dyadic(str(d)) == d
-
-
-def test_dyadic_parsing():
-    assert parse_dyadic("3/2^2") == Dyadic(3, 2)
-    assert parse_dyadic("0/2^0") == Dyadic(0, 0)
-    assert parse_dyadic("4/2^2") == Dyadic(1, 0)
-    for bad in ("", "3/4", "1/2^", "a/2^1", "2^3"):
-        with pytest.raises(ParseError):
-            parse_dyadic(bad)
 
 
 @given(dyadics)

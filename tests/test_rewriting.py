@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tree, right_comb
+from conftest import nodes, random_tree, right_comb, support_interval
 
 from assocf import plmaps, rewriting, thompson as th, trees, zoo
 from assocf.errors import BudgetExceeded, ParseError
@@ -523,9 +523,9 @@ def test_shift_at_vertex_composes_inner_letters_first():
 
 def test_shift_at_vertex_moves_support_into_the_addressed_interval():
     g = GENS["x0"]
-    lo, hi = plmaps.support_interval(shift_at_vertex(g, "01"))
+    lo, hi = support_interval(shift_at_vertex(g, "01"))
     assert lo >= plmaps.Dyadic(1, 2) and hi <= plmaps.Dyadic(1, 1)
-    lo, hi = plmaps.support_interval(shift_at_vertex(g, "11"))
+    lo, hi = support_interval(shift_at_vertex(g, "11"))
     assert lo >= plmaps.Dyadic(3, 2)
 
 
@@ -556,6 +556,31 @@ def test_closure_word_cap_controls_the_seed_alphabet():
     assert GENS["c1"] in members
     assert len(members) == 593
     assert all(th.abelianize(g) == (0, 0) for g in members)
+
+
+def unshared_closure(generators, depth):
+    """closure_generate as it is specified, keeping the products as built."""
+    words = [
+        "".join(w) for n in range(depth + 1) for w in itertools.product("01", repeat=n)
+    ]
+    seeds = {th.IDENTITY}
+    for g in generators:
+        for word in words:
+            seeds |= {shift_at_vertex(g, word), shift_at_vertex(th.invert(g), word)}
+    current = frozenset(seeds)
+    for _ in range(depth - 1):
+        current = frozenset(th.multiply(a, b) for a in current for b in seeds)
+    return current
+
+
+def test_closure_keeps_one_node_per_distinct_subtree(monkeypatch):
+    # a fresh table holds every node of the closure (4,820 < SHARE_CAP)
+    monkeypatch.setattr(trees, "_SHARED", {})
+    members = closure_generate([GENS["x1"]], 3)
+    assert members == unshared_closure([GENS["x1"]], 3)
+    assert len(members) == 6505
+    kept = nodes(t for g in members for t in (g.source, g.target))
+    assert len(kept) == len(set(kept.values()))
 
 
 @pytest.mark.parametrize(

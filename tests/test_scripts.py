@@ -5,6 +5,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -47,3 +49,18 @@ def test_regen_goldens_cases_match_the_golden_files():
         for path in (REPO / "tests" / "golden").glob("*.json")
     }
     assert goldens == cases
+
+
+@pytest.mark.parametrize(
+    "name,argv,message",
+    [
+        ("halfpower_separation", ["--budget", "-1"], "caret budget must be >= 0, got -1"),
+        ("halfpower_separation", ["--depth", "-1"], "closure depth must be >= 0, got -1"),
+        ("classify_zoo", ["--threads", "0"], "thread count must be >= 1, got 0"),
+        ("classify_zoo", ["--arity-cap", "1"], "law arity cap must be >= 2, got 1"),
+    ],
+)
+def test_scripts_exit_2_on_malformed_input(name, argv, message, capsys):
+    # the CLI's exit contract: one error line, no traceback, nothing run
+    assert load_script(name).main(argv) == 2
+    assert capsys.readouterr().out == f"error: {message}\n"

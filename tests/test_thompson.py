@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_tree
+
 from assocf import thompson as th
 from assocf import trees
 from assocf.errors import BudgetExceeded, ParseError
+from assocf.plmaps import compose_pl, to_pl
 from assocf.thompson import (
     IDENTITY,
     FElement,
@@ -35,6 +38,27 @@ elements = st.integers(0, 2**31).map(
     lambda s: random_element(random.Random(s))
 )
 GENS = generators()
+# deep, comb-like trees as well as random words
+large_elements = elements | st.builds(
+    power, st.sampled_from(sorted(GENS.values(), key=str)), st.integers(-60, 60)
+)
+
+
+def reference_reduce(p, q):
+    """Cancel the leftmost common free caret until none remains."""
+    while common := trees.free_carets(p) & trees.free_carets(q):
+        i = min(common)
+        p, q = trees.remove_caret(p, i), trees.remove_caret(q, i)
+    return FElement(p, q)
+
+
+def reference_multiply(g, h):
+    """g*h by expansion words: carry each tree of the join to the pair's
+    other tree with the canonical word of trees.expansion_path."""
+    middle = trees.join(g.target, h.source)
+    expand_g = trees.expansion_path(middle, g.target)
+    expand_h = trees.expansion_path(middle, h.source)
+    return reference_reduce(expand_g.apply(g.source), expand_h.apply(h.target))
 
 
 # --- construction -------------------------------------------------------------
@@ -58,7 +82,30 @@ def test_reduce_pair_collapses_simultaneous_expansion(g, letters):
     assert reduce_pair(word.apply(g.source), word.apply(g.target)) == g
 
 
+@given(
+    st.integers(1, 12), st.integers(0, 2**31), st.lists(st.integers(1, 14), max_size=8)
+)
+def test_reduce_pair_matches_caret_by_caret_cancellation(n, seed, letters):
+    rng = random.Random(seed)
+    word = trees.ExpansionWord(letters)
+    p, q = word.apply(random_tree(rng, n)), word.apply(random_tree(rng, n))
+    assert reduce_pair(p, q) == reference_reduce(p, q)
+
+
 # --- group axioms ---------------------------------------------------------------
+
+
+@given(large_elements, large_elements)
+def test_multiply_matches_the_expansion_word_product(g, h):
+    gh = multiply(g, h)
+    assert gh == reference_multiply(g, h)
+    assert to_pl(gh) == compose_pl(to_pl(h), to_pl(g))
+
+
+def test_multiply_does_not_walk_expansion_words(monkeypatch):
+    expected = reference_multiply(GENS["x0"], GENS["x1"])
+    monkeypatch.setattr(trees, "expansion_path", None)
+    assert multiply(GENS["x0"], GENS["x1"]) == expected
 
 
 @given(elements, elements, elements)
@@ -75,13 +122,25 @@ def test_identity_and_inverse(g):
     assert invert(invert(g)) == g
 
 
-@given(elements, st.integers(-6, 6))
+@given(elements, st.integers(-40, 40))
 def test_power_matches_repeated_multiplication(g, k):
     by_hand = IDENTITY
     step = g if k >= 0 else invert(g)
     for _ in range(abs(k)):
         by_hand = multiply(by_hand, step)
     assert power(g, k) == by_hand
+    a, b = abelianize(g)
+    assert abelianize(by_hand) == (k * a, k * b)
+
+
+def test_powers_up_to_the_exponent_cap():
+    for name in ("x0", "x1", "c1"):
+        g = GENS[name]
+        top = power(g, th.EXPONENT_CAP)
+        assert top == multiply(power(g, th.EXPONENT_CAP - 1), g)
+        assert multiply(top, power(g, -th.EXPONENT_CAP)) == IDENTITY
+    # x0^k is the pair of combs with k + 2 leaves
+    assert power(GENS["x0"], th.EXPONENT_CAP).leaves == th.EXPONENT_CAP + 2
 
 
 @given(elements, elements)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_tree, right_comb
+from conftest import nodes, random_tree, right_comb
 
 from assocf import trees
 from assocf.errors import BudgetExceeded, ParseError
@@ -94,6 +94,43 @@ def test_parse_rejects_literals_past_the_depth_cap():
     # the cap is on nesting, not on size
     wide = parse_tree(format_tree(random_tree(random.Random(3), 3000)))
     assert leaf_count(wide) == 3000
+
+
+# --- the sharing table ---------------------------------------------------------
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    # the test starts from an empty sharing table and leaves the real one alone
+    monkeypatch.setattr(trees, "_SHARED", {})
+
+
+def test_parse_returns_the_kept_node_for_an_equal_literal(empty_table):
+    rng = random.Random(7)
+    for n in range(1, 40):
+        t = random_tree(rng, n)
+        first = parse_tree(format_tree(t))
+        assert parse_tree(" " + format_tree(t).replace(" ", "  ")) is first
+        assert trees.share(t) is first
+        # one node per distinct subtree
+        kept = nodes([first])
+        assert len(kept) == len(set(kept.values()))
+
+
+def test_parse_after_the_sharing_table_fills(empty_table):
+    # all trees of up to 11 leaves: 23,713 distinct nodes, past SHARE_CAP
+    for t in enumerate_trees(11):
+        assert parse_tree(format_tree(t)) == t
+    assert 0 < len(trees._SHARED) <= trees.SHARE_CAP < 23_713
+    first = parse_tree("((. .) (. .))")
+    assert parse_tree("((. .) (. .))") is first
+    for text in ("(. .", "(. . .)", "x"):
+        with pytest.raises(ParseError):
+            parse_tree(text)
+    deep = parse_tree(left_comb_literal(trees.PARSE_DEPTH_CAP))
+    assert trees.leftmost_leaf_depth(deep) == trees.PARSE_DEPTH_CAP
+    with pytest.raises(BudgetExceeded):
+        parse_tree(left_comb_literal(trees.PARSE_DEPTH_CAP + 1))
 
 
 # --- counting ----------------------------------------------------------------
@@ -279,6 +316,29 @@ def test_expansion_path_recovers_applied_word(base, letters):
     word = expansion_path(target, base)
     assert word is not None
     assert word.apply(base) == target
+
+
+@given(tree_strategy)
+def test_leaf_intervals_determine_the_tree(t):
+    intervals = trees.leaf_intervals(t)
+    assert len(intervals) == leaf_count(t)
+    # the leaves tile [0, 1]: each starts where the one before it ends
+    top = max(d for _, d in intervals)
+    ends = [(k + 1) << (top - d) for k, d in intervals]
+    assert [k << (top - d) for k, d in intervals] == [0] + ends[:-1]
+    assert ends[-1] == 1 << top
+    assert trees.from_leaf_intervals(intervals) == t
+
+
+@given(small_trees, letters_strategy)
+def test_graft_hangs_back_the_subtrees_under_the_leaves(base, letters):
+    big = ExpansionWord(letters).apply(base)
+    shape = trees.preorder_shape(base)
+    under = trees.capture(shape, big)
+    assert len(under) == leaf_count(base)
+    assert trees.graft(shape, under) == big
+    if big != base:
+        assert trees.capture(trees.preorder_shape(big), base) is None
 
 
 def test_expansion_frontier_is_breadth_first_and_distinct():
