@@ -3,7 +3,7 @@
 
 Runs the associativity-status cascade over the zoo (or a chosen subset) and
 prints one line per table: size, verdict, the key evidence, and elapsed
-time.  Useful for eyeballing how the budgets behave as table size grows.
+time.  Useful for eyeballing how the limits behave as table size grows.
 
     python scripts/classify_zoo.py
     python scripts/classify_zoo.py --only pre_sl2 --arity-cap 6
@@ -20,15 +20,13 @@ from assocf import magmas, zoo
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     names: tuple
-    budget: int | None
+    budget: int
     arity_cap: int | None
     threads: int
 
     def __post_init__(self):
-        # the CLI's checks, made before any table is classified
         if self.threads < 1:
             raise ValueError(f"thread count must be >= 1, got {self.threads}")
-        budgets_for(0, self)
 
 
 def parse_args(argv):
@@ -42,7 +40,7 @@ def parse_args(argv):
     parser.add_argument(
         "--budget",
         type=int,
-        default=None,
+        default=6,
         help="largest five-variable-law witness, in added carets, to report",
     )
     parser.add_argument("--arity-cap", type=int, default=None)
@@ -53,15 +51,6 @@ def parse_args(argv):
     if unknown:
         parser.error(f"unknown builtin(s): {', '.join(unknown)}")
     return RunConfig(names, args.budget, args.arity_cap, args.threads)
-
-
-def budgets_for(size, cfg):
-    budgets = magmas.SearchBudgets.for_size(size)
-    if cfg.budget is not None:
-        budgets = dataclasses.replace(budgets, eventual_carets=cfg.budget)
-    if cfg.arity_cap is not None:
-        budgets = dataclasses.replace(budgets, law_arity_cap=cfg.arity_cap)
-    return budgets
 
 
 def evidence_summary(status):
@@ -90,7 +79,16 @@ def main(argv=None):
     for name in cfg.names:
         m = zoo.BUILTINS[name]()
         start = time.perf_counter()
-        status = magmas.assoc_status(m, budgets_for(len(m), cfg), threads=cfg.threads)
+        try:
+            status = magmas.assoc_status(
+                m,
+                eventual_carets=cfg.budget,
+                arity_cap=cfg.arity_cap,
+                threads=cfg.threads,
+            )
+        except ValueError as err:  # a malformed limit, rejected before any work
+            print(f"error: {err}")
+            return 2
         elapsed = time.perf_counter() - start
         print(
             f"{name:<{width}}  |S|={len(m.elements):<3} "

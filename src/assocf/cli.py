@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from . import magmas, plmaps, rewriting, thompson, trees, zoo
 from .errors import BudgetExceeded, ParseError
@@ -181,7 +181,7 @@ def _cmd_f(args):
         payload = _map_payload(f)
         if args.svg:
             with open(args.svg, "w", encoding="utf-8") as handle:
-                handle.write(plmaps.svg_document([f]))
+                handle.write(plmaps.svg_document(f))
             payload["svg"] = args.svg
         return CommandResult("ok", payload, text=plmaps.format_pl_map(f))
     if args.action == "shifts":
@@ -240,12 +240,12 @@ def _cmd_magma(args):
             text=f"solvable: depth {witness.depth} tree is constant {witness.zero}",
         )
     if args.action == "status":
-        budgets = magmas.SearchBudgets.for_size(len(m))
-        if args.budget is not None:
-            budgets = replace(budgets, eventual_carets=args.budget)
-        if args.arity_cap is not None:
-            budgets = replace(budgets, law_arity_cap=args.arity_cap)
-        status = magmas.assoc_status(m, budgets, threads=args.threads)
+        status = magmas.assoc_status(
+            m,
+            eventual_carets=args.budget,
+            arity_cap=args.arity_cap,
+            threads=args.threads,
+        )
         return CommandResult(
             "ok", status.as_payload(), text=_format_status(status)
         )
@@ -266,6 +266,8 @@ def _cmd_magma(args):
         pos, _, name = item.partition("=")
         if not _ or not pos.isdigit():
             raise ParseError(f"fixed assignment must be POS=NAME, got {item!r}")
+        if int(pos) in fixed:
+            raise ParseError(f"leaf position {int(pos)} is pinned twice")
         fixed[int(pos)] = name
     image = magmas.restricted_image(m, parse_tree(args.tree), fixed)
     payload = {"tree": args.tree, "fixed": args.fixed, "image": sorted(image)}
@@ -301,7 +303,7 @@ def _cmd_variety(args):
         res = rewriting.membership_semidecide(
             g, gens, budget=args.budget, leaf_cap=args.cap
         )
-        payload = {"kind": res.kind, "budget": res.budget, "leaf_cap": res.leaf_cap}
+        payload = {"kind": res.kind, "budget": args.budget, "leaf_cap": args.cap}
         if res:
             payload["expansion"] = str(res.expansion)
             src = res.expansion.apply(g.source)
@@ -313,7 +315,7 @@ def _cmd_variety(args):
             "ok",
             payload,
             exit_code=EXIT_BUDGET,
-            text=f"not derivable within {res.budget} added carets",
+            text=f"not derivable within {args.budget} added carets",
         )
     # closure
     gens = [thompson.reduce_pair(law.lhs, law.rhs) for law in variety.laws]
@@ -432,7 +434,7 @@ def build_parser():
     sub.add_argument(
         "--budget",
         type=int,
-        default=None,
+        default=6,
         help="largest five-variable-law witness, in added carets, to report",
     )
     sub.add_argument("--arity-cap", type=int, default=None)

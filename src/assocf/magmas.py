@@ -38,6 +38,11 @@ _BLOCK_ELEMENTS = 1 << 24
 # counterexample is found before the blocks grow.
 _PARTITION_BLOCK = 1 << 16
 
+# Most tree evaluations (trees x tuples) one arity of search_laws makes
+# unless forced: Catalan(n-1) * |S|^n, so the arity-3 search stops from
+# 369 elements on.
+EVALUATION_GUARD = 100_000_000
+
 
 def _dtype_for(size):
     return np.uint8 if size <= 256 else np.uint16
@@ -126,10 +131,6 @@ class Magma:
     def associativity(self):
         return satisfies(self, associative_law())
 
-    @property
-    def is_associative(self):
-        return bool(self.associativity)
-
     @cached_property
     def _derived(self):
         chain = [tuple(range(len(self.elements)))]
@@ -161,10 +162,6 @@ class Law:
     @property
     def is_trivial(self):
         return self.lhs == self.rhs
-
-    def expand_both(self, word):
-        """Simultaneous expansion of both sides by the same word."""
-        return Law(word.apply(self.lhs), word.apply(self.rhs))
 
     def __str__(self):
         return format_law(self)
@@ -240,8 +237,11 @@ class EventualResult:
 
     kind: str  # "holds" | "never"
     law: Law
-    holds: bool
     witness: ExpansionWord = None
+
+    @property
+    def holds(self):
+        return self.kind == "holds"
 
 
 @dataclass(frozen=True)
@@ -270,34 +270,6 @@ class SolvabilityWitness:
     zero: str
     depth: int
     tree: tuple
-
-
-@dataclass(frozen=True)
-class SearchBudgets:
-    """assoc_status's bounds: the most added carets of a five-variable-law
-    witness it reports, the law arity it searches, and the evaluations
-    (trees x tuples) one arity of the law search may make.  The default
-    guard stops the arity-3 search from 369 elements on."""
-
-    eventual_carets: int = 6
-    law_arity_cap: int = 4
-    evaluation_guard: int = 100_000_000
-
-    def __post_init__(self):
-        if self.eventual_carets < 0:
-            raise ValueError(
-                f"caret budget must be >= 0, got {self.eventual_carets}"
-            )
-        if self.law_arity_cap < 2:
-            raise ValueError(
-                f"law arity cap must be >= 2, got {self.law_arity_cap}"
-            )
-
-    @staticmethod
-    def for_size(size):
-        # small tables afford deeper arities
-        cap = 6 if size <= 4 else 4 if size <= 60 else 3
-        return SearchBudgets(law_arity_cap=cap)
 
 
 @dataclass(frozen=True)
@@ -468,13 +440,6 @@ def _partition(table, shapes, domains, threads=1):
     return classes
 
 
-def _agree(m, law, domains, threads=1):
-    """Whether the law holds on every tuple over the domains, given as
-    sorted element indices."""
-    domains = [np.asarray(d, dtype=m.table.dtype) for d in domains]
-    return bool(_partition(m.table, (law.lhs, law.rhs), domains, threads))
-
-
 def _whole(m, n):
     """Domains for a sweep over all |S|^n tuples."""
     return [np.arange(len(m), dtype=m.table.dtype)] * n
@@ -582,14 +547,16 @@ def satisfies_eventually(m, law, *, threads=1):
     the kind is "never".  Otherwise the witness is the tuple of images on
     whose product the law holds that is least by total carets
     (_least_trees), then by grafted word: the first least witness that a
-    breadth-first walk of trees.expansion_frontier meets.
+    breadth-first walk of rewriting.expansion_frontier meets.
     """
-    core = tuple(map(m.index, derived_chain(m).subsets[-1]))
-    if not _agree(m, law, [core] * law.arity, threads):
-        return EventualResult("never", law, False)
+    core = np.array(
+        [m.index(x) for x in derived_chain(m).subsets[-1]], dtype=m.table.dtype
+    )
+    if not _partition(m.table, (law.lhs, law.rhs), [core] * law.arity, threads):
+        return EventualResult("never", law)
     if len(core) == len(m):
         # the only image is S: the law holds on the nose
-        return EventualResult("holds", law, True, ExpansionWord())
+        return EventualResult("holds", law, ExpansionWord())
     least = _least_trees(m.table)
     images = list(least)
     ranked = []
@@ -598,7 +565,7 @@ def satisfies_eventually(m, law, *, threads=1):
         ranked.append((sum(c for c, _ in blocks), _graft(blocks)))
     # the law holds on (core, ..., core), so ranked is not empty
     witness = ExpansionWord.from_applied(min(ranked)[1])
-    return EventualResult("holds", law, True, witness)
+    return EventualResult("holds", law, witness)
 
 
 def derived_chain(m):
@@ -643,22 +610,24 @@ def centralizer(m, subset, zero):
     return frozenset(m.elements[int(i)] for i in np.nonzero(mask)[0])
 
 
-def search_laws(m, n, *, budgets=None, force=False, threads=1):
+def search_laws(m, n, *, force=False, threads=1):
     """All nontrivial laws of arity n that hold, exhaustively verified.
 
     The n-leaf trees are partitioned by their values on every tuple, each
     tree evaluated once per block, and the laws are the pairs (i, j), i < j
     in enumeration order, that share a class.  Unless forced, guarded by
-    the tree evaluations it makes: Catalan(n-1) trees on |S|^n tuples.
+    the tree evaluations it makes: Catalan(n-1) trees on |S|^n tuples,
+    against EVALUATION_GUARD.
     """
-    budgets = budgets or SearchBudgets.for_size(len(m))
+    if n < 1:
+        raise ValueError(f"search arity must be >= 1, got {n}")
     size = len(m)
     n_trees = math.comb(2 * n - 2, n - 1) // n
     work = n_trees * size**n
-    if work > budgets.evaluation_guard and not force:
+    if work > EVALUATION_GUARD and not force:
         raise BudgetExceeded(
             f"{n_trees} trees on {size}^{n} tuples = {work} evaluations "
-            f"exceed guard {budgets.evaluation_guard} (force to override)"
+            f"exceed guard {EVALUATION_GUARD} (force to override)"
         )
     shapes = trees.enumerate_trees(n)
     classes = _partition(m.table, shapes, _whole(m, n), threads)
@@ -666,20 +635,27 @@ def search_laws(m, n, *, budgets=None, force=False, threads=1):
     return tuple(Law(shapes[i], shapes[j]) for i, j in pairs)
 
 
-def assoc_status(m, budgets=None, *, threads=1):
+def assoc_status(m, *, eventual_carets=6, arity_cap=None, threads=1):
     """Cascade classifier for the stable-associativity group of a magma.
 
     Associative or solvable certifies the full group; a two-sided identity
     on a non-associative table certifies the trivial group; the five
     variable law holding after some expansion certifies containing the
     commutator subgroup (on the nose for a simply perfect table, else with
-    a caret-minimal expansion, reported when it is within the caret
-    budget); failing all that, bounded law search reports either
-    exhaustion bounds or the laws it found.  Unknown never claims
-    triviality: that would need no-law-at-every-arity, which bounded search
-    cannot certify.
+    a caret-minimal expansion, reported when it has at most
+    `eventual_carets` carets); failing all that, law search up to
+    `arity_cap` (by default 6 up to 4 elements, 4 up to 60, else 3)
+    reports either exhaustion bounds or the laws it found.  Unknown never
+    claims triviality: that would need no-law-at-every-arity, which bounded
+    search cannot certify.
     """
-    budgets = budgets or SearchBudgets.for_size(len(m))
+    if eventual_carets < 0:
+        raise ValueError(f"caret budget must be >= 0, got {eventual_carets}")
+    if arity_cap is None:
+        # small tables afford deeper arities
+        arity_cap = 6 if len(m) <= 4 else 4 if len(m) <= 60 else 3
+    if arity_cap < 2:
+        raise ValueError(f"law arity cap must be >= 2, got {arity_cap}")
     assoc = m.associativity
     if assoc:
         return AssocStatus("full_f", "associative", {"law": assoc.law})
@@ -710,7 +686,7 @@ def assoc_status(m, budgets=None, *, threads=1):
     fvl = five_variable_law()
     eventual = satisfies_eventually(m, fvl, threads=threads)
     # a witness past the caret budget is left to the law search
-    if eventual.holds and len(eventual.witness) <= budgets.eventual_carets:
+    if eventual.holds and len(eventual.witness) <= eventual_carets:
         # on a simply perfect table every image is S: no expansion to show
         if m.simply_perfect:
             return AssocStatus("contains_commutator", "fvl-on-the-nose", {"law": fvl})
@@ -721,8 +697,8 @@ def assoc_status(m, budgets=None, *, threads=1):
         )
     found = []
     searched_to = 2
-    for arity in range(3, budgets.law_arity_cap + 1):
-        found.extend(search_laws(m, arity, budgets=budgets, threads=threads))
+    for arity in range(3, arity_cap + 1):
+        found.extend(search_laws(m, arity, threads=threads))
         searched_to = arity
         if found:
             return AssocStatus(

@@ -180,12 +180,6 @@ class PLMap:
     def __hash__(self):
         return hash(self.points)
 
-    def __call__(self, x):
-        return eval_pl(self, x)
-
-    def is_identity(self):
-        return len(self.points) == 2
-
     def invert(self):
         return PLMap((y, x) for x, y in self.points)
 
@@ -319,16 +313,13 @@ def decimal_str(d):
     return f"{sign}{whole}." + str(frac).rjust(d.exp, "0").rstrip("0")
 
 
-_SVG_COLORS = ("#1f6feb", "#d1242f", "#1a7f37", "#8250df", "#bf8700", "#57606a")
-
-
-def svg_document(maps, size=480, labels=None):
-    """Standalone SVG plotting one or more PL maps on the unit square.
+def svg_document(f):
+    """Standalone 480-pixel SVG plotting the PL map f on the unit square.
 
     Coordinates are exact decimal strings derived from the dyadic data; no
     floating point is involved.
     """
-    margin = 20
+    size, margin, color = 480, 20, "#1f6feb"
     inner = size - 2 * margin
     scale = Dyadic(inner)
 
@@ -358,19 +349,12 @@ def svg_document(maps, size=480, labels=None):
         f'<line x1="{px(ZERO)}" y1="{py(ZERO)}" x2="{px(ONE)}" y2="{py(ONE)}" '
         'stroke="#bbb" stroke-dasharray="4 3"/>'
     )
-    for idx, f in enumerate(maps):
-        color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        coords = " ".join(f"{px(x)},{py(y)}" for x, y in f.points)
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            'stroke-width="2"/>'
-        )
-        for x, y in f.points:
-            parts.append(f'<circle cx="{px(x)}" cy="{py(y)}" r="3" fill="{color}"/>')
-        if labels is not None and idx < len(labels):
-            parts.append(
-                f'<text x="{margin + 6 + 14 * idx}" y="{margin - 6}" '
-                f'fill="{color}" font-size="12">{labels[idx]}</text>'
-            )
+    coords = " ".join(f"{px(x)},{py(y)}" for x, y in f.points)
+    parts.append(
+        f'<polyline points="{coords}" fill="none" stroke="{color}" '
+        'stroke-width="2"/>'
+    )
+    for x, y in f.points:
+        parts.append(f'<circle cx="{px(x)}" cy="{py(y)}" r="3" fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -103,17 +103,6 @@ def instantiate(pattern, substitution):
     return trees.graft(shape, substitution)
 
 
-def match(pattern, t):
-    """Substitution making the pattern equal t, or None.
-
-    Pattern leaves are variables and match any subtree; pattern carets
-    require carets.  Left-to-right capture order matches instantiate.
-    The pattern is read as its preorder shape, the form the rewrite search
-    compiles each law side into once per search.
-    """
-    return trees.capture(trees.preorder_shape(pattern), t)
-
-
 def apply_step(t, step):
     src, dst = (
         (step.law.lhs, step.law.rhs)
@@ -206,6 +195,8 @@ def _search(p, q, variety, rules, leaf_cap, root_split_pruning):
     """
     if leaf_count(p) != leaf_count(q):
         raise ValueError("derivability needs equal leaf counts")
+    if leaf_cap < 1:
+        raise ValueError(f"leaf cap must be >= 1, got {leaf_cap}")
     if leaf_count(p) > leaf_cap:
         raise BudgetExceeded(
             f"{leaf_count(p)} leaves exceeds the search cap {leaf_cap}"
@@ -270,6 +261,38 @@ def format_proof(p, steps):
     return "\n".join(lines)
 
 
+def expansion_frontier(lhs, rhs, budget):
+    """Simultaneous expansions of the pair (lhs, rhs), breadth first by
+    added carets: yields (level, lhs', rhs', applied) for every distinct
+    pair within `budget` added carets, where `applied` lists the expanded
+    leaf indices in application order.  Within a level, pairs come in the
+    order of the pairs they grew from, then by leaf index.
+
+    The budget is checked when this is called, not when it is iterated.
+    """
+    if budget < 0:
+        raise ValueError(f"caret budget must be >= 0, got {budget}")
+    return _frontier(lhs, rhs, budget)
+
+
+def _frontier(lhs, rhs, budget):
+    seen = {(lhs, rhs)}
+    frontier = [(lhs, rhs, ())]
+    for level in range(budget + 1):
+        for lhs, rhs, applied in frontier:
+            yield level, lhs, rhs, applied
+        if level == budget:
+            return
+        grown = []
+        for lhs, rhs, applied in frontier:
+            for i in range(1, leaf_count(lhs) + 1):
+                key = (trees.expand(lhs, i), trees.expand(rhs, i))
+                if key not in seen:
+                    seen.add(key)
+                    grown.append((key[0], key[1], applied + (i,)))
+        frontier = grown
+
+
 @dataclass(frozen=True)
 class DerivabilityResult:
     """Outcome of the bounded eventual-derivability search.
@@ -282,7 +305,6 @@ class DerivabilityResult:
     kind: str
     expansion: object = None
     proof: object = None
-    budget: int = 0
     pairs_checked: int = 0
 
     def __bool__(self):
@@ -302,7 +324,7 @@ def eventually_derivable(
     """
     if leaf_count(p) != leaf_count(q):
         raise ValueError("derivability needs equal leaf counts")
-    pairs = trees.expansion_frontier(p, q, budget)
+    pairs = expansion_frontier(p, q, budget)
     rules = _rules(variety)
     labels = {}  # tree -> number of its exhausted rewrite class
     classes = 0
@@ -320,13 +342,12 @@ def eventually_derivable(
                 "holds",
                 expansion=ExpansionWord.from_applied(applied),
                 proof=proof,
-                budget=budget,
                 pairs_checked=checked,
             )
         if exhausted is not None:
             classes += 1
             labels.update(dict.fromkeys(exhausted, classes))
-    return DerivabilityResult("fails-up-to", budget=budget, pairs_checked=checked)
+    return DerivabilityResult("fails-up-to", pairs_checked=checked)
 
 
 def shift_at_vertex(g, word):
@@ -388,11 +409,8 @@ class MembershipResult:
     """
 
     kind: str
-    element: object
     expansion: object = None
     proof: object = None
-    budget: int = 0
-    leaf_cap: int = LEAF_CAP
 
     def __bool__(self):
         return self.kind == "in"
@@ -407,14 +425,5 @@ def membership_semidecide(g, generators, *, budget=3, leaf_cap=LEAF_CAP):
         g.source, g.target, variety, budget, leaf_cap=leaf_cap
     )
     if result:
-        return MembershipResult(
-            "in",
-            g,
-            expansion=result.expansion,
-            proof=result.proof,
-            budget=budget,
-            leaf_cap=leaf_cap,
-        )
-    return MembershipResult(
-        "not-derivable-up-to", g, budget=budget, leaf_cap=leaf_cap
-    )
+        return MembershipResult("in", result.expansion, result.proof)
+    return MembershipResult("not-derivable-up-to")

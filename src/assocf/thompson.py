@@ -192,10 +192,6 @@ def abelianize(g):
     return (a, -(a + b))
 
 
-def in_commutator_subgroup(g):
-    return abelianize(g) == (0, 0)
-
-
 @dataclass(frozen=True)
 class NormalSubgroupSpec:
     """Normal subgroup named by its abelianized image.
@@ -227,16 +223,6 @@ def normal_membership(g, spec):
     a = big_m // m
     rest = big_n + a * m
     return rest == 0 if n == 0 else rest % n == 0
-
-
-def random_element(rng, max_factors=20):
-    """Product of up to max_factors random generator letters."""
-    gens = generators()
-    letters = [gens["x0"], gens["x1"], invert(gens["x0"]), invert(gens["x1"])]
-    out = IDENTITY
-    for _ in range(rng.randint(1, max_factors)):
-        out = multiply(out, rng.choice(letters))
-    return out
 
 
 # --- word and pair literals ---------------------------------------------

@@ -143,38 +143,6 @@ def _expand(t, i):
     return (left, _expand(right, i - nl))
 
 
-def expansion_frontier(lhs, rhs, budget):
-    """Simultaneous expansions of the pair (lhs, rhs), breadth first by
-    added carets: yields (level, lhs', rhs', applied) for every distinct
-    pair within `budget` added carets, where `applied` lists the expanded
-    leaf indices in application order.  Within a level, pairs come in the
-    order of the pairs they grew from, then by leaf index.
-
-    The budget is checked when this is called, not when it is iterated.
-    """
-    if budget < 0:
-        raise ValueError(f"caret budget must be >= 0, got {budget}")
-    return _frontier(lhs, rhs, budget)
-
-
-def _frontier(lhs, rhs, budget):
-    seen = {(lhs, rhs)}
-    frontier = [(lhs, rhs, ())]
-    for level in range(budget + 1):
-        for lhs, rhs, applied in frontier:
-            yield level, lhs, rhs, applied
-        if level == budget:
-            return
-        grown = []
-        for lhs, rhs, applied in frontier:
-            for i in range(1, leaf_count(lhs) + 1):
-                key = (expand(lhs, i), expand(rhs, i))
-                if key not in seen:
-                    seen.add(key)
-                    grown.append((key[0], key[1], applied + (i,)))
-        frontier = grown
-
-
 def shift(t, side):
     """Hang t under a fresh root caret, on the given side."""
     if side == "left":
@@ -445,10 +413,6 @@ class ExpansionWord:
     @classmethod
     def from_applied(cls, letters_in_application_order):
         return cls(tuple(reversed(tuple(letters_in_application_order))))
-
-    @property
-    def applied_order(self):
-        return tuple(reversed(self.letters))
 
     def apply(self, t):
         for i in reversed(self.letters):

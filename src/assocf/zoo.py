@@ -16,6 +16,7 @@ import numpy as np
 from .errors import BudgetExceeded
 from .magmas import Magma
 
+# Most elements permutation_group closes over before it gives up.
 PERMUTATION_CAP = 10080
 
 
@@ -113,11 +114,12 @@ class GroupTable:
         return len(self.elements)
 
 
-def permutation_group(generators, cap=PERMUTATION_CAP):
+def permutation_group(generators):
     """Closure of the generators, as a GroupTable with cycle-notation names.
 
     Elements are ordered lexicographically by image tuple, which puts the
-    identity first.
+    identity first.  A group of more than PERMUTATION_CAP elements raises
+    BudgetExceeded.
     """
     gens = list(generators)
     if not gens:
@@ -133,8 +135,10 @@ def permutation_group(generators, cap=PERMUTATION_CAP):
         for g in gens:
             q = p * g
             if q.images not in seen:
-                if len(seen) >= cap:
-                    raise BudgetExceeded(f"group closure exceeds cap {cap}")
+                if len(seen) >= PERMUTATION_CAP:
+                    raise BudgetExceeded(
+                        f"group closure exceeds cap {PERMUTATION_CAP}"
+                    )
                 seen.add(q.images)
                 queue.append(q)
     ordered = sorted(seen)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from assocf import zoo
+from assocf import thompson, zoo
+from assocf.magmas import Law
 from assocf.plmaps import ZERO, to_pl
 
 settings.register_profile(
@@ -31,6 +32,22 @@ def random_tree(rng, n):
         return ()
     k = rng.randint(1, n - 1)
     return (random_tree(rng, k), random_tree(rng, n - k))
+
+
+def random_element(rng, max_factors=20):
+    """Product of up to max_factors random generator letters."""
+    gens = thompson.generators()
+    x0, x1 = gens["x0"], gens["x1"]
+    letters = [x0, x1, thompson.invert(x0), thompson.invert(x1)]
+    out = thompson.IDENTITY
+    for _ in range(rng.randint(1, max_factors)):
+        out = thompson.multiply(out, rng.choice(letters))
+    return out
+
+
+def expand_both(law, word):
+    """The law with both sides expanded by the same word."""
+    return Law(word.apply(law.lhs), word.apply(law.rhs))
 
 
 def right_comb(n):

@@ -238,6 +238,41 @@ def test_negative_caret_budgets_exit_2(argv, capsys):
     assert out == "error: caret budget must be >= 0, got %s\n" % argv[-1]
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variety", "derivable", "fixtures/x1_law.variety", "((. .) .)", "(. (. .))"],
+        ["variety", "member", "fixtures/x1_law.variety", "x0"],
+    ],
+    ids=["derivable", "member"],
+)
+def test_leaf_cap_below_1_exits_2(argv, json_flag, capsys):
+    code, out = run_capture([*argv, "--cap", "-5", *json_flag], capsys)
+    assert code == 2
+    message = "leaf cap must be >= 1, got -5"
+    if json_flag:
+        parsed = json.loads(out)
+        assert (parsed["status"], parsed["payload"]) == ("error", {"error": message})
+    else:
+        assert out == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("arity", ["0", "-2"])
+def test_search_arity_below_1_exits_2(arity, capsys):
+    argv = ["magma", "search", "fixtures/s4.magma", arity]
+    code, out = run_capture(argv, capsys)
+    assert (code, out) == (2, f"error: search arity must be >= 1, got {arity}\n")
+
+
+def test_a_leaf_position_pinned_twice_exits_2(capsys):
+    argv = ["magma", "image", "fixtures/s4.magma", "((. .) .)", "1=a", "1=b"]
+    code, out = run_capture(argv, capsys)
+    assert (code, out) == (2, "error: leaf position 1 is pinned twice\n")
+    # one pin per position still answers
+    assert run_capture([*argv[:4], "1=a", "2=b"], capsys)[0] == 0
+
+
 @pytest.mark.parametrize("cap", ["-1", "0", "1"])
 def test_law_arity_cap_below_2_exits_2(cap, capsys):
     argv = ["magma", "status", "fixtures/s4.magma", "--arity-cap", cap]

@@ -11,14 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_magma, random_tree
+from conftest import expand_both, random_magma, random_tree
 
-from assocf import magmas, trees, zoo
+from assocf import magmas, rewriting, trees, zoo
 from assocf.errors import BudgetExceeded, ParseError
 from assocf.magmas import (
     Law,
     Magma,
-    SearchBudgets,
     assoc_status,
     associative_law,
     centralizer,
@@ -91,7 +90,8 @@ def reference_satisfies_eventually(m, law, budget):
     """The per-pair search the shortest path over images replaced: sweep
     every expansion-frontier pair within the budget in full, in frontier
     order, and return the first witness, or None."""
-    for _, lhs, rhs, applied in trees.expansion_frontier(law.lhs, law.rhs, budget):
+    frontier = rewriting.expansion_frontier(law.lhs, law.rhs, budget)
+    for _, lhs, rhs, applied in frontier:
         if satisfies(m, Law(lhs, rhs)).holds:
             return trees.ExpansionWord.from_applied(applied)
     return None
@@ -225,7 +225,7 @@ def test_law_validation_and_round_trip():
 def test_law_expansion():
     law = associative_law()
     word = trees.ExpansionWord((2,))
-    grown = law.expand_both(word)
+    grown = expand_both(law, word)
     assert grown.arity == 4
     assert grown.lhs == trees.expand(law.lhs, 2)
     assert grown.rhs == trees.expand(law.rhs, 2)
@@ -312,7 +312,7 @@ def test_held_laws_transfer_to_expansions(m, law, letters):
     # the expanded sides evaluate through the originals on a subset of S
     if satisfies(m, law).holds:
         word = trees.ExpansionWord(letters)
-        assert satisfies(m, law.expand_both(word)).holds
+        assert satisfies(m, expand_both(law, word)).holds
 
 
 # --- eventual satisfaction ---------------------------------------------------------------
@@ -333,7 +333,7 @@ def test_fvl_eventual_fixture():
     assert res.witness == trees.ExpansionWord((2,))
     assert res.holds
     # the found expansion really does hold on the nose
-    assert satisfies(FVL_EVENTUAL, fvl.expand_both(res.witness)).holds
+    assert satisfies(FVL_EVENTUAL, expand_both(fvl, res.witness)).holds
     status = assoc_status(FVL_EVENTUAL)
     assert status.kind == "contains_commutator"
     assert status.reason == "fvl-at-expansion"
@@ -409,7 +409,7 @@ def test_eventual_matches_the_per_pair_reference(case, block):
     elif res.holds:
         assert len(res.witness) > 4
     if res.holds:
-        assert satisfies(m, law.expand_both(res.witness)).holds
+        assert satisfies(m, expand_both(law, res.witness)).holds
 
 
 def complete_expansion(law, depth):
@@ -621,33 +621,33 @@ def test_search_matches_the_pairwise_reference(m, n):
     assert search_laws(m, n) == reference_search_laws(m, n)
 
 
-def test_search_tuple_space_guard(builtins):
+def test_search_tuple_space_guard(builtins, monkeypatch):
     z4 = builtins["z4_addition"]
-    tiny = SearchBudgets(evaluation_guard=10)
+    monkeypatch.setattr(magmas, "EVALUATION_GUARD", 10)
     with pytest.raises(BudgetExceeded):
-        search_laws(z4, 3, budgets=tiny)
-    forced = search_laws(z4, 3, budgets=tiny, force=True)
+        search_laws(z4, 3)
+    forced = search_laws(z4, 3, force=True)
     assert len(forced) == 1 and same_sides(forced[0], associative_law())
 
 
-def test_search_guard_counts_every_tree_on_every_tuple(builtins):
+def test_search_guard_counts_every_tree_on_every_tuple(builtins, monkeypatch):
     # arity 3 evaluates Catalan(2) = 2 trees on each of the 4^3 tuples
     z4 = builtins["z4_addition"]
-    assert search_laws(z4, 3, budgets=SearchBudgets(evaluation_guard=128))
+    monkeypatch.setattr(magmas, "EVALUATION_GUARD", 128)
+    assert search_laws(z4, 3)
+    monkeypatch.setattr(magmas, "EVALUATION_GUARD", 127)
     with pytest.raises(BudgetExceeded, match=r"^2 trees on 4\^3 tuples = 128 "):
-        search_laws(z4, 3, budgets=SearchBudgets(evaluation_guard=127))
+        search_laws(z4, 3)
 
 
 def test_default_guard_stops_arity_3_from_369_elements():
     # tables of more than 60 elements search to arity 3: 2 trees on 369^3
     # tuples pass the default 10^8 evaluations, 2 * 368^3 do not; a guard on
     # tuples alone stopped at 465 elements
-    budgets = SearchBudgets.for_size(369)
-    assert budgets.law_arity_cap == 3
-    assert 2 * 368**3 <= budgets.evaluation_guard < 2 * 369**3
+    assert 2 * 368**3 <= magmas.EVALUATION_GUARD < 2 * 369**3
     big = Magma([str(i) for i in range(369)], np.zeros((369, 369), dtype=int))
     with pytest.raises(BudgetExceeded, match=r"^2 trees on 369\^3 tuples = 100486818 "):
-        search_laws(big, 3, budgets=budgets)
+        search_laws(big, 3)
 
 
 def test_search_refines_across_many_blocks(builtins, monkeypatch):
@@ -735,3 +735,53 @@ def test_status_payloads_are_json_serializable(builtins):
         payload = assoc_status(builtins[name]).as_payload()
         parsed = json.loads(json.dumps(payload, sort_keys=True))
         assert parsed["kind"] == assoc_status(builtins[name]).kind
+
+
+def direct_product(a, b):
+    """The table of (x, y) op (u, v) = (x op u, y op v), pairs in row-major
+    order."""
+    na, nb = len(a), len(b)
+    names = [f"{x}.{y}" for x in a.elements for y in b.elements]
+    rows, cols = a.table.astype(int), b.table.astype(int)
+    table = rows[:, None, :, None] * nb + cols[None, :, None, :]
+    return Magma(names, table.reshape(na * nb, na * nb))
+
+
+def test_default_arity_cap_falls_with_table_size(builtins):
+    # s4's arity-4 law holds on s4 x Z_k, an associative factor; the search
+    # reaches arity 4 at 60 elements and stops at arity 3 past them
+    s4 = builtins["s4"]
+    at_60 = assoc_status(direct_product(s4, zoo.cyclic_addition(15)))
+    assert (at_60.reason, at_60.evidence["searched_up_to"]) == ("laws-found", 4)
+    at_64 = assoc_status(direct_product(s4, zoo.cyclic_addition(16)))
+    assert (at_64.kind, at_64.evidence) == ("no_law_up_to", {"arity": 3})
+    capped = assoc_status(s4, arity_cap=3)
+    assert (capped.kind, capped.evidence) == ("no_law_up_to", {"arity": 3})
+
+
+@pytest.mark.parametrize(
+    "limits,message",
+    [
+        ({"eventual_carets": -1}, "caret budget must be >= 0, got -1"),
+        ({"arity_cap": 1}, "law arity cap must be >= 2, got 1"),
+        # the caret budget is checked first
+        ({"eventual_carets": -2, "arity_cap": 0}, "caret budget must be >= 0, got -2"),
+    ],
+)
+def test_status_checks_its_limits(builtins, limits, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        assoc_status(builtins["z4_addition"], **limits)
+
+
+def test_status_reports_a_witness_within_the_caret_budget():
+    # FVL_EVENTUAL's least witness has one caret
+    assert assoc_status(FVL_EVENTUAL, eventual_carets=1).reason == "fvl-at-expansion"
+    # past the budget the witness is left to the law search
+    status = assoc_status(FVL_EVENTUAL, eventual_carets=0)
+    assert (status.reason, status.evidence["searched_up_to"]) == ("laws-found", 4)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_search_needs_a_positive_arity(builtins, n):
+    with pytest.raises(ValueError, match=f"^search arity must be >= 1, got {n}$"):
+        search_laws(builtins["z4_addition"], n, force=True)

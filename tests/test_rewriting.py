@@ -16,7 +16,6 @@ from assocf.magmas import (
     Law,
     associative_law,
     evaluate,
-    five_variable_law,
     format_law,
     parse_law,
 )
@@ -28,10 +27,10 @@ from assocf.rewriting import (
     closure_generate,
     derivable,
     eventually_derivable,
+    expansion_frontier,
     format_proof,
     instantiate,
     load_variety,
-    match,
     membership_semidecide,
     shift_at_vertex,
 )
@@ -92,14 +91,15 @@ def test_match_inverts_instantiate(pattern, subs):
         subs = (subs * n)[:n]
     subs = tuple(subs[:n])
     grown = instantiate(pattern, subs)
-    assert match(pattern, grown) is not None
-    assert instantiate(pattern, match(pattern, grown)) == grown
+    captured = trees.capture(trees.preorder_shape(pattern), grown)
+    assert captured is not None
+    assert instantiate(pattern, captured) == grown
 
 
 def test_match_captures_in_leaf_order():
     pattern = trees.parse_tree("(. (. .))")
     target = trees.parse_tree("((. .) ((. .) .))")
-    captured = match(pattern, target)
+    captured = trees.capture(trees.preorder_shape(pattern), target)
     assert captured == (
         trees.parse_tree("(. .)"),
         trees.parse_tree("(. .)"),
@@ -108,7 +108,8 @@ def test_match_captures_in_leaf_order():
 
 
 def test_match_rejects_shallow_targets():
-    assert match(trees.parse_tree("(. (. .))"), trees.parse_tree("(. .)")) is None
+    pattern = trees.preorder_shape(trees.parse_tree("(. (. .))"))
+    assert trees.capture(pattern, trees.parse_tree("(. .)")) is None
 
 
 def test_instantiate_validates_count():
@@ -124,13 +125,14 @@ def test_instantiate_validates_count():
 def test_apply_step_forward_and_back():
     t = trees.parse_tree("(((. .) .) .)")
     law = associative_law()
-    captured = match(law.lhs, t)
+    captured = trees.capture(trees.preorder_shape(law.lhs), t)
     step = RewriteStep("", law, 0, True, captured)
     out = apply_step(t, step)
     assert out == trees.parse_tree("(((. .) .) .)") or out == instantiate(
         law.rhs, captured
     )
-    back = RewriteStep("", law, 0, False, match(law.rhs, out))
+    back_captured = trees.capture(trees.preorder_shape(law.rhs), out)
+    back = RewriteStep("", law, 0, False, back_captured)
     assert apply_step(out, back) == t
 
 
@@ -241,11 +243,32 @@ def test_root_split_pruning_agrees_with_plain_search():
 # --- eventual derivability ----------------------------------------------------------------
 
 
+def test_expansion_frontier_is_breadth_first_and_distinct():
+    t = trees.parse_tree("(. .)")
+    listed = list(expansion_frontier(t, t, 2))
+    assert [level for level, *_ in listed] == [0, 1, 1, 2, 2, 2, 2, 2]
+    assert listed[0] == (0, t, t, ())
+    for level, lhs, rhs, applied in listed:
+        assert len(applied) == level
+        assert trees.ExpansionWord.from_applied(applied).apply(t) == lhs == rhs
+    pairs = [(lhs, rhs) for _, lhs, rhs, _ in listed]
+    assert len(set(pairs)) == len(pairs)
+    # level 2 holds each 4-leaf tree once, in the order it grew; (2, 1)
+    # repeats (1, 3)
+    assert [a for *_, a in listed[3:]] == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
+
+
+def test_expansion_frontier_rejects_a_negative_budget_when_called():
+    with pytest.raises(ValueError, match="caret budget"):
+        expansion_frontier(trees.LEAF, trees.LEAF, -1)
+    leaf = trees.LEAF
+    assert list(expansion_frontier(leaf, leaf, 0)) == [(0, leaf, leaf, ())]
+
+
 def test_eventually_derivable_fails_up_to_budget():
     res = eventually_derivable(R1, R2, X1_VARIETY, 3)
     assert not res
     assert res.kind == "fails-up-to"
-    assert res.budget == 3
     assert res.pairs_checked == 101
 
 
@@ -617,7 +640,6 @@ def test_membership_rejects_the_example_pair():
     res = membership_semidecide(g, [GENS["x1"]], budget=3)
     assert not res
     assert res.kind == "not-derivable-up-to"
-    assert res.budget == 3
 
 
 def test_membership_rejects_x0_in_the_x1_subgroup():

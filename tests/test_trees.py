@@ -17,7 +17,6 @@ from assocf.trees import (
     complete_tree,
     enumerate_trees,
     expand,
-    expansion_frontier,
     expansion_path,
     format_tree,
     free_carets,
@@ -300,7 +299,7 @@ def test_monoid_compose_acts_right_factor_first(u, v, t):
 def test_canonical_form_is_stable(letters):
     word = ExpansionWord(letters)
     assert ExpansionWord(word.letters).letters == word.letters
-    assert ExpansionWord.from_applied(word.applied_order) == word
+    assert ExpansionWord.from_applied(reversed(word.letters)) == word
 
 
 def test_expansion_word_rejects_bad_input():
@@ -339,27 +338,6 @@ def test_graft_hangs_back_the_subtrees_under_the_leaves(base, letters):
     assert trees.graft(shape, under) == big
     if big != base:
         assert trees.capture(trees.preorder_shape(big), base) is None
-
-
-def test_expansion_frontier_is_breadth_first_and_distinct():
-    t = parse_tree("(. .)")
-    listed = list(expansion_frontier(t, t, 2))
-    assert [level for level, *_ in listed] == [0, 1, 1, 2, 2, 2, 2, 2]
-    assert listed[0] == (0, t, t, ())
-    for level, lhs, rhs, applied in listed:
-        assert len(applied) == level
-        assert ExpansionWord.from_applied(applied).apply(t) == lhs == rhs
-    pairs = [(lhs, rhs) for _, lhs, rhs, _ in listed]
-    assert len(set(pairs)) == len(pairs)
-    # level 2 holds each 4-leaf tree once, in the order it grew; (2, 1)
-    # repeats (1, 3)
-    assert [a for *_, a in listed[3:]] == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
-
-
-def test_expansion_frontier_rejects_a_negative_budget_when_called():
-    with pytest.raises(ValueError, match="caret budget"):
-        expansion_frontier(LEAF, LEAF, -1)
-    assert list(expansion_frontier(LEAF, LEAF, 0)) == [(0, LEAF, LEAF, ())]
 
 
 def test_expansion_path_none_when_not_an_expansion():

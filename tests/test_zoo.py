@@ -5,11 +5,11 @@ octonion unit loop (checked against an independent Cayley-Dickson oracle).
 
 import itertools
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
 
+from assocf import zoo
 from assocf.errors import BudgetExceeded
 from assocf.magmas import Magma, dump_magma, load_magma
 from assocf.trees import parse_tree
@@ -121,9 +121,10 @@ def test_permutation_group_a5_size():
     assert len(permutation_group(A5_GENS)) == 60
 
 
-def test_permutation_group_cap():
-    with pytest.raises(BudgetExceeded):
-        permutation_group(A5_GENS, cap=30)
+def test_permutation_group_cap(monkeypatch):
+    monkeypatch.setattr(zoo, "PERMUTATION_CAP", 30)
+    with pytest.raises(BudgetExceeded, match="group closure exceeds cap 30"):
+        permutation_group(A5_GENS)
 
 
 def test_permutation_group_input_validation():
