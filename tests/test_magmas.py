@@ -185,6 +185,13 @@ def test_load_magma_errors_carry_line_numbers(text, lineno):
         pytest.fail("expected ParseError")
 
 
+def test_load_magma_rejects_an_unknown_element_on_the_last_row():
+    with pytest.raises(ParseError) as err:
+        load_magma("a b\na b\nb c\n")
+    assert str(err.value) == "unknown element 'c' (at 3)"
+    assert err.value.location == 3
+
+
 def test_load_magma_rejects_empty():
     with pytest.raises(ParseError):
         load_magma("# nothing here\n")
@@ -670,6 +677,86 @@ def test_search_refines_across_many_blocks(builtins, monkeypatch):
                     assert got == expected, (name, block, threads)
     finally:
         sys.setswitchinterval(saved)
+
+
+def grid_laws(m, n):
+    """Laws of arity n read off the oracle grids: the pairs of trees, in
+    enumeration order, whose values agree on every tuple."""
+    shapes = trees.enumerate_trees(n)
+    grids = [oracle_grid(m, t).tobytes() for t in shapes]
+    return tuple(
+        Law(shapes[i], shapes[j])
+        for i, j in itertools.combinations(range(len(shapes)), 2)
+        if grids[i] == grids[j]
+    )
+
+
+@settings(max_examples=60)
+@given(small_tables(6), st.integers(1, 6), st.sampled_from([1, 4]), st.integers(1, 40))
+# 3^5 tuples in blocks of 3 * 3^2: two leading variables, so the 1-leaf
+# left subtree indexes its rows by combo and the others slice their levels
+@example(table_of([[0, 1, 2], [1, 1, 0], [2, 0, 0]]), 5, 4, 3)
+def test_level_rows_are_the_tree_values(m, n, threads, block):
+    table, shapes = m.table, trees.enumerate_trees(n)
+    levels = magmas._levels(table, n)
+    for k in range(1, n + 1):
+        expected = [oracle_grid(m, t).ravel() for t in trees.enumerate_trees(k)]
+        assert np.array_equal(levels[k], expected)
+    # the levels a search keeps hold at most 1/|S| of its evaluations
+    kept = sum(levels[k].size for k in range(1, n))
+    assert kept * len(m) <= len(shapes) * len(m) ** n
+    # at most |S|^3 blocks, so both branches of _top_rows run, in few calls
+    block *= len(m) ** max(0, n - 3)
+    domains = magmas._whole(m, n)
+    prefix_vars, starts = magmas._layout(domains, block)
+    # one leaf has no split: search_laws answers n = 1 with no law
+    for lo in starts if n > 1 else ():
+        hi = min(lo + starts.step, starts.stop)
+        axes = magmas._block_axes(domains, prefix_vars, lo, hi)
+        expected = [magmas._tree_values(table, t, axes).ravel() for t in shapes]
+        got = magmas._top_rows(table, levels[:n], n, prefix_vars, lo, hi)
+        assert np.array_equal(got, expected)
+    saved = magmas._PARTITION_BLOCK
+    magmas._PARTITION_BLOCK = block
+    try:
+        assert search_laws(m, n, threads=threads) == grid_laws(m, n)
+    finally:
+        magmas._PARTITION_BLOCK = saved
+
+
+def test_top_rows_on_a_table_of_two_byte_entries():
+    # 300 elements: the table is uint16 and the flat cell numbers the last
+    # block reads pass 2^16
+    size = 300
+    table = np.random.default_rng(3).integers(0, size, (size, size))
+    m = Magma([str(i) for i in range(size)], table)
+    assert m.table.dtype == np.uint16
+    shapes = trees.enumerate_trees(3)
+    levels = magmas._levels(m.table, 2)
+    domains = magmas._whole(m, 3)
+    prefix_vars, starts = magmas._layout(domains, magmas._PARTITION_BLOCK)
+    assert prefix_vars == 2
+    for lo in (starts[0], starts[-1]):
+        hi = min(lo + starts.step, starts.stop)
+        axes = magmas._block_axes(domains, prefix_vars, lo, hi)
+        expected = [magmas._tree_values(m.table, t, axes).ravel() for t in shapes]
+        assert np.array_equal(magmas._top_rows(m.table, levels, 3, prefix_vars, lo, hi), expected)
+
+
+def test_core_check_parts_a_power_of_two_product_in_a_few_blocks(builtins, monkeypatch):
+    # pre_sl2 x Z_16: 64 elements, core = S, and the five-variable law fails
+    # on few tuples; a bit-reversed block order read 4,163 of 16,384 blocks
+    pre = builtins["pre_sl2"]
+    cyclic = np.add.outer(np.arange(16), np.arange(16)) % 16
+    table = np.add.outer(pre.table.astype(int) * 16, cyclic).transpose(0, 2, 1, 3)
+    m = Magma([f"{x}{i}" for x in pre.elements for i in range(16)], table.reshape(64, 64))
+    read = []
+    block_axes = magmas._block_axes
+    monkeypatch.setattr(
+        magmas, "_block_axes", lambda *block: read.append(block) or block_axes(*block)
+    )
+    assert satisfies_eventually(m, five_variable_law()).kind == "never"
+    assert 1 <= len(read) <= 8
 
 
 @given(st.integers(1, 5000))

@@ -51,6 +51,19 @@ def test_regen_goldens_cases_match_the_golden_files():
     assert goldens == cases
 
 
+def test_bench_measures_one_row():
+    # a smoke test of the row list and the timer: no timing is checked
+    import assocf.cli
+    import assocf.magmas
+
+    script = load_script("bench")
+    rows = {(name, json.dumps(params)): call for name, params, _, call in script.rows(assocf)}
+    call = rows["magmas.fvl_core_check", json.dumps({"table": "pre_sl2 x Z_16", "size": 64})]
+    row = script.measure(call, 1, script.hostspeed.HostClock())
+    assert row["repeats"] == 1 and 1 <= row["work"] <= 8
+    assert 0 < row["min_s"] <= row["median_s"] and row["min_ref_s"] > 0
+
+
 @pytest.mark.parametrize(
     "name,argv,message",
     [
