@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Layer benchmark of the magma sweeps, written to one JSON file.
 
-Times three kinds of row, each over several repeats:
+Times four kinds of row, each over several repeats:
 
 * ``search_laws`` by table size and arity, on cyclic groups (associative:
   every tree stays in one class, so the whole space is swept) and on seeded
-  random tables (the trees part within the first block);
+  random tables (the trees part within the first blocks);
+* ``satisfies`` of associativity on a5_commutator, which stops at an early
+  counterexample, and on the cyclic group of 60 elements, which sweeps the
+  whole space;
 * the five-variable-law (FVL) core check of ``satisfies_eventually`` on
   a5_commutator and on pre_sl2 x Z_16, where it answers ``never``;
 * ``assocf magma status --json`` on every fixture, in process.
@@ -13,7 +16,7 @@ Times three kinds of row, each over several repeats:
 Each row records its parameters, the median and min wall time, raw and
 scaled to a reference host speed by bench/hostspeed.py, and a work counter:
 tree evaluations (the count EVALUATION_GUARD bounds) for the law search,
-blocks read for the core check, and elements for a status.
+tuples read for ``satisfies`` and the core check, and elements for a status.
 
     python scripts/bench.py --quick --out BENCH.json
     python scripts/bench.py --quick --out BENCH.json --src PARENT/src --label before
@@ -82,6 +85,24 @@ def random_table(size, magmas):
     return magmas.Magma([str(i) for i in range(size)], table)
 
 
+def tuples_read(magmas, sweep):
+    """Run sweep() and count the tuples of the blocks it lays out through
+    magmas._block_axes."""
+    read = []
+    block_axes = magmas._block_axes
+
+    def counted(domains, prefix_vars, lo, hi):
+        read.append((hi - lo) * math.prod(len(d) for d in domains[prefix_vars:]))
+        return block_axes(domains, prefix_vars, lo, hi)
+
+    magmas._block_axes = counted
+    try:
+        sweep()
+    finally:
+        magmas._block_axes = block_axes
+    return sum(read)
+
+
 def rows(assocf):
     """(name, params, work unit, call) for every row; call() returns its
     work count."""
@@ -99,6 +120,13 @@ def rows(assocf):
 
         params = {"table": kind, "size": size, "arity": n}
         out.append(("magmas.search_laws", params, "tree evaluations", search))
+    for name, m in (("a5_commutator", load["a5_commutator"]), ("cyclic", cyclic(60, magmas))):
+
+        def check(m=m):
+            return tuples_read(magmas, lambda: magmas.satisfies(m, magmas.associative_law()))
+
+        params = {"table": name, "size": len(m), "law": "associativity"}
+        out.append(("magmas.satisfies", params, "tuples read", check))
     z16 = cyclic(16, magmas)
     for name, m in (
         ("a5_commutator", load["a5_commutator"]),
@@ -106,17 +134,11 @@ def rows(assocf):
     ):
 
         def core_check(m=m):
-            read = []
-            block_axes = magmas._block_axes
-            magmas._block_axes = lambda *block: read.append(block) or block_axes(*block)
-            try:
-                magmas.satisfies_eventually(m, magmas.five_variable_law())
-            finally:
-                magmas._block_axes = block_axes
-            return len(read)
+            fvl = magmas.five_variable_law()
+            return tuples_read(magmas, lambda: magmas.satisfies_eventually(m, fvl))
 
         params = {"table": name, "size": len(m)}
-        out.append(("magmas.fvl_core_check", params, "blocks read", core_check))
+        out.append(("magmas.fvl_core_check", params, "tuples read", core_check))
     for path in fixtures:
 
         def status(path=path, size=len(load[path.stem])):

@@ -8,11 +8,13 @@ construction), and the functions below decide law satisfaction exhaustively,
 search for laws, detect solvability through the derived chain, and assemble
 the associativity-spectrum classifier.
 
-Sweeps over tuple spaces are vectorized with numpy and run blockwise.  A
-counterexample sweep reads its blocks in canonical (lexicographic) order, so
-the first counterexample reported is deterministic regardless of block size
-or worker count; a check that needs only the verdict partitions trees by
-value, in any block order.
+Sweeps over tuple spaces are vectorized with numpy and run blockwise, and a
+sweep that can stop early starts with small blocks.  A counterexample sweep
+reads its blocks in canonical (lexicographic) order, growing from
+_SMALL_BLOCK tuples, so the first counterexample reported is deterministic
+regardless of block size or worker count, and an early one costs a small
+sweep.  A check that needs only the verdict partitions trees by value, in
+any block order: two small blocks, then blocks of _PARTITION_BLOCK tuples.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from .errors import BudgetExceeded, ParseError
 from .trees import ExpansionWord, leaf_count
 
 _BLOCK_ELEMENTS = 1 << 24
-# Tuples per block when trees are partitioned by value, and in the first
-# block of a counterexample sweep: numpy's per-call cost is still small at
-# this size, a space of many blocks is visited in spread order, so trees
-# that differ somewhere part within a few blocks, and an early
-# counterexample is found before the blocks grow.
+# Tuples per block when trees are partitioned by value: numpy's per-call
+# cost is still small at this size, and a space of many blocks is visited in
+# spread order, so trees that differ somewhere part within a few blocks.
 _PARTITION_BLOCK = 1 << 16
+# Tuples in the first blocks of a sweep that can stop early (satisfies and
+# _partition), so that an early answer costs 1/16 of a large block.
+_SMALL_BLOCK = 1 << 12
 
 # Most tree evaluations (trees x tuples) one arity of search_laws makes
 # unless forced: Catalan(n-1) * |S|^n, so the arity-3 search stops from
@@ -106,21 +109,15 @@ class Magma:
 
     @cached_property
     def left_identities(self):
-        ident = np.arange(len(self.elements))
-        return tuple(
-            self.elements[i]
-            for i in range(len(self.elements))
-            if np.array_equal(self.table[i, :], ident)
-        )
+        # row i is the identity map
+        rows = (self.table == np.arange(len(self.elements))).all(axis=1)
+        return tuple(self.elements[i] for i in np.flatnonzero(rows))
 
     @cached_property
     def right_identities(self):
-        ident = np.arange(len(self.elements))
-        return tuple(
-            self.elements[j]
-            for j in range(len(self.elements))
-            if np.array_equal(self.table[:, j], ident)
-        )
+        # column j is the identity map
+        cols = (self.table == np.arange(len(self.elements))[:, None]).all(axis=0)
+        return tuple(self.elements[j] for j in np.flatnonzero(cols))
 
     @property
     def two_sided_identity(self):
@@ -412,22 +409,31 @@ def _spread(count):
     return (i * step % count for i in range(count))
 
 
+def _in_spread_order(prefix_vars, starts):
+    """The blocks (prefix_vars, lo, hi) of a _layout, in _spread order."""
+    for i in _spread(len(starts)):
+        yield prefix_vars, starts[i], min(starts[i] + starts.step, starts.stop)
+
+
 def _partition(rows, count, domains, threads=1):
     """Classes, of two or more of `count` trees, that agree on every tuple
     over the domains.  rows(prefix_vars, lo, hi) gives every tree's values on
     the block [lo, hi) of _layout, one row per tree, and classes split as
     blocks disagree, until every tree is alone.  The result does not depend
     on block order, so blocks of at most _PARTITION_BLOCK tuples (and
-    _BLOCK_ELEMENTS values over all trees) go in spread order."""
+    _BLOCK_ELEMENTS values over all trees) go in spread order.  When the
+    space holds more than one of them, a first pass reads two blocks of at
+    most 1/16 of their size (_SMALL_BLOCK tuples), in spread order too:
+    trees that part early part there, and a sweep that runs to the end
+    re-reads at most 1/8 of the space."""
     budget = min(_PARTITION_BLOCK, _BLOCK_ELEMENTS // count)
     prefix_vars, starts = _layout(domains, budget)
+    blocks = _in_spread_order(prefix_vars, starts)
+    if len(starts) > 1:
+        small = _layout(domains, min(_SMALL_BLOCK, budget // 16))
+        blocks = itertools.chain(itertools.islice(_in_spread_order(*small), 2), blocks)
     classes = [range(count)]
-
-    def run(lo):
-        return rows(prefix_vars, lo, min(lo + starts.step, starts.stop))
-
-    spread = (starts[i] for i in _spread(len(starts)))
-    for values in _in_waves(run, spread, threads):
+    for values in _in_waves(lambda block: rows(*block), blocks, threads):
         split = defaultdict(list)
         for k, c in enumerate(classes):
             for t in c:
@@ -502,10 +508,11 @@ def _whole(m, n):
 def satisfies(m, law, *, threads=1):
     """Exhaustive check of a law over all |S|^n tuples, early exit.  Blocks
     are read in lexicographic order, so the counterexample is the first one
-    for any thread count; they start at _PARTITION_BLOCK tuples and double
-    up to _BLOCK_ELEMENTS, so an early counterexample costs a small sweep."""
+    for any thread count; they start at _SMALL_BLOCK tuples and double up to
+    _BLOCK_ELEMENTS, so an early counterexample costs a small sweep, and a
+    law that holds reads every tuple once."""
     domains = _whole(m, law.arity)
-    blocks = _growing_blocks(domains, _PARTITION_BLOCK, _BLOCK_ELEMENTS)
+    blocks = _growing_blocks(domains, _SMALL_BLOCK, _BLOCK_ELEMENTS)
     table, lhs, rhs = m.table, law.lhs, law.rhs
 
     def run(block):
@@ -766,8 +773,9 @@ def assoc_status(m, *, eventual_carets=6, arity_cap=None, threads=1):
             {"law": fvl, "expansion": eventual.witness},
         )
     found = []
-    searched_to = 2
-    for arity in range(3, arity_cap + 1):
+    # the only law of arity 3 is associativity, which fails here
+    searched_to = min(3, arity_cap)
+    for arity in range(4, arity_cap + 1):
         found.extend(search_laws(m, arity, threads=threads))
         searched_to = arity
         if found:
@@ -799,17 +807,17 @@ def load_magma(text):
         if names is None:
             if len(set(parts)) != len(parts):
                 raise ParseError("duplicate element names", location=lineno)
-            names, known = parts, set(parts)
+            names, index = parts, {name: i for i, name in enumerate(parts)}
             continue
         if len(parts) != len(names):
             raise ParseError(
                 f"expected {len(names)} entries per row, got {len(parts)}",
                 location=lineno,
             )
-        for name in parts:
-            if name not in known:
-                raise ParseError(f"unknown element {name!r}", location=lineno)
-        rows.append(parts)
+        try:
+            rows.append([index[name] for name in parts])
+        except KeyError as exc:
+            raise ParseError(f"unknown element {exc.args[0]!r}", location=lineno) from None
         if len(rows) > len(names):
             raise ParseError("too many table rows", location=lineno)
     if names is None:
@@ -819,7 +827,7 @@ def load_magma(text):
             f"expected {len(names)} table rows, got {len(rows)}",
             location=last_line,
         )
-    return Magma.from_rows(names, rows)
+    return Magma(names, rows)
 
 
 def dump_magma(m):

@@ -1,10 +1,12 @@
 """Finite operation tables: law checking against brute-force oracles."""
 
+import contextlib
 import itertools
 import json
 import math
 import random
 import sys
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -192,6 +194,24 @@ def test_load_magma_rejects_an_unknown_element_on_the_last_row():
     assert err.value.location == 3
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("a a\na a\na a", "duplicate element names (at 1)"),
+        ("a b c\na b c\nc d e b\nb a c", "expected 3 entries per row, got 4 (at 3)"),
+        ("a b\nx y\nb a", "unknown element 'x' (at 2)"),
+        ("a b # c\n\n# x\na b\nb q  # z\n", "unknown element 'q' (at 5)"),
+        ("a\na\na", "too many table rows (at 3)"),
+        ("a b\nb a\n\n", "expected 2 table rows, got 1 (at 2)"),
+        ("# nothing here\n", "empty magma file"),
+    ],
+)
+def test_load_magma_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        load_magma(text)
+    assert str(err.value) == message
+
+
 def test_load_magma_rejects_empty():
     with pytest.raises(ParseError):
         load_magma("# nothing here\n")
@@ -275,12 +295,10 @@ def test_blocked_sweep_is_invariant(m, law, threads, block):
     st.integers(0, 200),
 )
 def test_growing_blocks_keep_the_first_counterexample(m, law, threads, start, extra):
-    saved = magmas._PARTITION_BLOCK, magmas._BLOCK_ELEMENTS
-    magmas._PARTITION_BLOCK, magmas._BLOCK_ELEMENTS = start, start + extra
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(magmas, "_SMALL_BLOCK", start)
+        patch.setattr(magmas, "_BLOCK_ELEMENTS", start + extra)
         check = satisfies(m, law, threads=threads)
-    finally:
-        magmas._PARTITION_BLOCK, magmas._BLOCK_ELEMENTS = saved
     expected = oracle_first_counterexample(m, law)
     assert check.counterexample == (None if expected is None else expected[0])
 
@@ -490,6 +508,22 @@ def test_identity_detectors(builtins):
     assert oct_.two_sided_identity == "e0"
     z4 = builtins["z4_addition"]
     assert z4.two_sided_identity == "0"
+
+
+@given(small_tables(6), st.sets(st.integers(0, 5)), st.sets(st.integers(0, 5)))
+def test_identities_match_a_per_row_oracle(m, rows, cols):
+    # rows, then columns, set to the identity map; a later column can spoil
+    # an earlier row
+    size, table = len(m), m.table.astype(int)
+    for i in rows:
+        table[i % size, :] = range(size)
+    for j in cols:
+        table[:, j % size] = range(size)
+    m = Magma(m.elements, table)
+    names = list(m.elements)
+    left = tuple(x for x in names if [m.op(x, y) for y in names] == names)
+    right = tuple(y for y in names if [m.op(x, y) for x in names] == names)
+    assert (m.left_identities, m.right_identities) == (left, right)
 
 
 def test_simply_perfect_flags(builtins):
@@ -759,6 +793,97 @@ def test_core_check_parts_a_power_of_two_product_in_a_few_blocks(builtins, monke
     assert 1 <= len(read) <= 8
 
 
+@contextlib.contextmanager
+def small_blocks(small):
+    """Blocks of `small` and 16 * `small` tuples, the ratio of the module's
+    own constants, so that both passes of a partition span many blocks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(magmas, "_SMALL_BLOCK", small)
+        patch.setattr(magmas, "_PARTITION_BLOCK", 16 * small)
+        yield
+
+
+@settings(max_examples=60)
+@given(
+    small_tables(5),
+    st.integers(2, 5),
+    st.integers(0, 2**31),
+    st.integers(5, 12),
+    st.sampled_from([1, 3]),
+)
+# five variables of up to 5 elements, in blocks of up to 80 tuples after two
+# of up to 5
+@example(table_of([[0, 1, 0, 2, 0]] * 5), 5, 1, 5, 1)
+def test_partition_matches_grouping_by_value_vectors(m, n, seed, small, threads):
+    gen = random.Random(seed)
+    shapes = [random_tree(gen, n) for _ in range(gen.randint(1, 5))]
+    # a repeated tree keeps one class to the end: the sweep reads every block
+    shapes.append(shapes[0])
+    # each variable ranges over its own subset, as the core check's do
+    domains = [
+        np.array(sorted(gen.sample(range(len(m)), gen.randint(1, len(m)))), m.table.dtype)
+        for _ in range(n)
+    ]
+
+    def rows(*block):
+        axes = magmas._block_axes(domains, *block)
+        return [magmas._tree_values(m.table, t, axes).ravel() for t in shapes]
+
+    with small_blocks(small):
+        classes = magmas._partition(rows, len(shapes), domains, threads)
+    grid = list(np.ix_(*domains))
+    groups = defaultdict(list)
+    for i, t in enumerate(shapes):
+        groups[magmas._tree_values(m.table, t, grid).tobytes()].append(i)
+    expected = [g for g in groups.values() if len(g) > 1]
+    assert sorted(map(list, classes)) == sorted(expected)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 6), st.integers(2, 5), st.integers(6, 12))
+# 6^5 tuples: 108 blocks of 72, after two of the 1,296 blocks of 6
+@example(6, 5, 6)
+def test_a_sweep_where_every_law_holds_rereads_at_most_an_eighth(size, n, small):
+    # on a cyclic group every law of equal leaf count holds, so each sweep
+    # runs to the end
+    m = zoo.cyclic_addition(size)
+    shapes = trees.enumerate_trees(n)
+    law = Law(shapes[0], shapes[-1])
+    read = []
+    block_axes, top_rows = magmas._block_axes, magmas._top_rows
+
+    def count(domains, prefix_vars, lo, hi):
+        read.append((hi - lo) * math.prod(len(d) for d in domains[prefix_vars:]))
+
+    with small_blocks(small), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            magmas,
+            "_block_axes",
+            lambda domains, *block: count(domains, *block) or block_axes(domains, *block),
+        )
+        patch.setattr(
+            magmas,
+            "_top_rows",
+            lambda table, levels, n, *block: count([table] * n, *block)
+            or top_rows(table, levels, n, *block),
+        )
+        sweeps = [
+            lambda: satisfies(m, law),
+            lambda: satisfies_eventually(m, law),
+            # one tree of two leaves parts from nothing: that search stops
+            *([lambda: search_laws(m, n)] if n > 2 else []),
+        ]
+        totals = []
+        for sweep in sweeps:
+            read.clear()
+            sweep()
+            totals.append(sum(read))
+    # a counterexample sweep reads each tuple once, a partition at most 1/8
+    # of them twice
+    assert totals[0] == size**n
+    assert all(size**n <= total <= size**n * 9 / 8 for total in totals)
+
+
 @given(st.integers(1, 5000))
 def test_spread_order_visits_every_block_once(count):
     order = list(magmas._spread(count))
@@ -844,6 +969,20 @@ def test_default_arity_cap_falls_with_table_size(builtins):
     assert (at_64.kind, at_64.evidence) == ("no_law_up_to", {"arity": 3})
     capped = assoc_status(s4, arity_cap=3)
     assert (capped.kind, capped.evidence) == ("no_law_up_to", {"arity": 3})
+
+
+def test_status_skips_the_arity_3_search_and_names_the_cap(builtins, monkeypatch):
+    # the only arity-3 law is associativity, which fails before the law
+    # search; the evidence still reads the cap, 2 included
+    searched = []
+    search = magmas.search_laws
+    monkeypatch.setattr(
+        magmas, "search_laws", lambda m, n, **kw: searched.append(n) or search(m, n, **kw)
+    )
+    for cap in (2, 3, 4):
+        status = assoc_status(builtins["pre_sl2"], arity_cap=cap)
+        assert (status.kind, status.evidence) == ("no_law_up_to", {"arity": cap})
+    assert searched == [4]
 
 
 @pytest.mark.parametrize(

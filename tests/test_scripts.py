@@ -60,7 +60,8 @@ def test_bench_measures_one_row():
     rows = {(name, json.dumps(params)): call for name, params, _, call in script.rows(assocf)}
     call = rows["magmas.fvl_core_check", json.dumps({"table": "pre_sl2 x Z_16", "size": 64})]
     row = script.measure(call, 1, script.hostspeed.HostClock())
-    assert row["repeats"] == 1 and 1 <= row["work"] <= 8
+    # the work is tuples read: at most 8 blocks of 2^16
+    assert row["repeats"] == 1 and 1 <= row["work"] <= 8 * 2**16
     assert 0 < row["min_s"] <= row["median_s"] and row["min_ref_s"] > 0
 
 
