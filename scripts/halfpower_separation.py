@@ -32,15 +32,13 @@ R2_TEXT = "((. (. .)) (. .))"
 class RunConfig:
     budget: int
     depth: int
-    word_cap: int | None
 
     def __post_init__(self):
         for name, bound in (
             ("caret budget", self.budget),
             ("closure depth", self.depth),
-            ("closure word cap", self.word_cap),
         ):
-            if bound is not None and bound < 0:
+            if bound < 0:
                 raise ValueError(f"{name} must be >= 0, got {bound}")
 
 
@@ -52,9 +50,8 @@ def parse_args(argv):
     parser.add_argument(
         "--depth", type=int, default=3, help="closure depth for the x1 side"
     )
-    parser.add_argument("--word-cap", type=int, default=None)
     args = parser.parse_args(argv)
-    return RunConfig(args.budget, args.depth, args.word_cap)
+    return RunConfig(args.budget, args.depth)
 
 
 def first_moved_halfpower(g):
@@ -103,7 +100,7 @@ def main(argv=None):
 
     x1 = thompson.generators()["x1"]
     start = time.perf_counter()
-    members = rewriting.closure_generate([x1], cfg.depth, word_cap=cfg.word_cap)
+    members = rewriting.closure_generate([x1], cfg.depth)
     built = time.perf_counter() - start
     failing = sum(1 for h in members if not plmaps.stabilizes_halfpowers(h))
     checked = time.perf_counter() - start - built

@@ -25,7 +25,6 @@ CASES = [
     ("f_mul", ["f", "mul", "x0", "x1"]),
     ("f_inv", ["f", "inv", "[x0,x1]"]),
     ("f_word", ["f", "word", "x1^x0"]),
-    ("f_word_ab", ["f", "word", "[x0,x1]", "--ab"]),
     ("f_ab", ["f", "ab", "x0 * x1"]),
     ("f_pl", ["f", "pl", "x0"]),
     ("f_reduce", ["f", "reduce", "((. .) .)", "(. (. .))"]),

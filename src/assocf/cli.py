@@ -1,9 +1,9 @@
 """Command line surface for trees, group elements, magmas, and varieties.
 
 Every subcommand prints a human-readable report by default and a stable
-JSON object with --json (keys sorted, sets sorted, identical across runs
-and thread counts).  Exit codes: 0 success, 1 usage, 2 malformed input,
-3 budget exhausted with the partial report still printed.
+JSON object with --json (keys sorted, sets sorted, identical across runs).
+Exit codes: 0 success, 1 usage, 2 malformed input, 3 budget exhausted with
+the partial report still printed.
 """
 
 from __future__ import annotations
@@ -127,6 +127,14 @@ def _read_file(path):
         raise ParseError(f"cannot read {path}: {err.strerror or err}") from err
 
 
+def _write_file(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise ParseError(f"cannot write {path}: {err.strerror or err}") from err
+
+
 def _load_magma_file(path):
     return magmas.load_magma(_read_file(path))
 
@@ -172,7 +180,7 @@ def _cmd_f(args):
     else:  # reduce
         g = thompson.reduce_pair(parse_tree(args.source), parse_tree(args.target))
 
-    if args.action == "ab" or (args.action == "word" and args.ab):
+    if args.action == "ab":
         ab = thompson.abelianize(g)
         payload = {"ab": list(ab), "element": _element_payload(g)}
         return CommandResult("ok", payload, text=_format_ab(ab))
@@ -180,8 +188,7 @@ def _cmd_f(args):
         f = plmaps.to_pl(g)
         payload = _map_payload(f)
         if args.svg:
-            with open(args.svg, "w", encoding="utf-8") as handle:
-                handle.write(plmaps.svg_document(f))
+            _write_file(args.svg, plmaps.svg_document(f))
             payload["svg"] = args.svg
         return CommandResult("ok", payload, text=plmaps.format_pl_map(f))
     if args.action == "shifts":
@@ -210,14 +217,14 @@ def _cmd_f(args):
 def _cmd_magma(args):
     m = _load_magma_file(args.file)
     if args.action == "check":
-        check = magmas.satisfies(m, parse_law(args.law), threads=args.threads)
+        check = magmas.satisfies(m, parse_law(args.law))
         text = "holds" if check else (
             f"fails at ({', '.join(check.counterexample)}): "
             f"{check.lhs_value} != {check.rhs_value}"
         )
         return CommandResult("ok", _law_check_payload(check), text=text)
     if args.action == "eventual":
-        res = magmas.satisfies_eventually(m, parse_law(args.law), threads=args.threads)
+        res = magmas.satisfies_eventually(m, parse_law(args.law))
         if res.kind == "never":
             text = "never holds (exact: fails on the derived core)"
         elif res.witness.letters:
@@ -241,18 +248,13 @@ def _cmd_magma(args):
         )
     if args.action == "status":
         status = magmas.assoc_status(
-            m,
-            eventual_carets=args.budget,
-            arity_cap=args.arity_cap,
-            threads=args.threads,
+            m, eventual_carets=args.budget, arity_cap=args.arity_cap
         )
         return CommandResult(
             "ok", status.as_payload(), text=_format_status(status)
         )
     if args.action == "search":
-        laws = magmas.search_laws(
-            m, args.arity, threads=args.threads, force=args.force
-        )
+        laws = magmas.search_laws(m, args.arity, force=args.force)
         payload = {"arity": args.arity, "laws": [format_law(law) for law in laws]}
         text = "\n".join(format_law(law) for law in laws) or "no laws"
         return CommandResult("ok", payload, text=text)
@@ -283,13 +285,7 @@ def _cmd_variety(args):
     variety = _load_variety_file(args.file)
     if args.action == "derivable":
         p, q = parse_tree(args.lhs), parse_tree(args.rhs)
-        proof = rewriting.derivable(
-            p,
-            q,
-            variety,
-            leaf_cap=args.cap,
-            root_split_pruning=args.prune,
-        )
+        proof = rewriting.derivable(p, q, variety, root_split_pruning=args.prune)
         payload = {"derivable": proof is not None}
         if proof is not None:
             payload["proof"] = _proof_payload(p, proof)
@@ -300,10 +296,12 @@ def _cmd_variety(args):
     if args.action == "member":
         g = thompson.parse_element(args.element)
         gens = [thompson.reduce_pair(law.lhs, law.rhs) for law in variety.laws]
-        res = rewriting.membership_semidecide(
-            g, gens, budget=args.budget, leaf_cap=args.cap
-        )
-        payload = {"kind": res.kind, "budget": args.budget, "leaf_cap": args.cap}
+        res = rewriting.membership_semidecide(g, gens, budget=args.budget)
+        payload = {
+            "kind": res.kind,
+            "budget": args.budget,
+            "leaf_cap": rewriting.LEAF_CAP,
+        }
         if res:
             payload["expansion"] = str(res.expansion)
             src = res.expansion.apply(g.source)
@@ -319,7 +317,7 @@ def _cmd_variety(args):
         )
     # closure
     gens = [thompson.reduce_pair(law.lhs, law.rhs) for law in variety.laws]
-    members = rewriting.closure_generate(gens, args.depth, word_cap=args.word_cap)
+    members = rewriting.closure_generate(gens, args.depth)
     listed = sorted(str(g) for g in members)
     payload = {"depth": args.depth, "count": len(members), "members": listed}
     return CommandResult(
@@ -346,10 +344,8 @@ def _cmd_zoo(args):
     )
 
 
-def _add_common(parser, *, threads=False):
+def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="structured output")
-    if threads:
-        parser.add_argument("--threads", type=int, default=1)
 
 
 @functools.cache
@@ -393,7 +389,6 @@ def build_parser():
     _add_common(sub)
     sub = f.add_parser("word")
     sub.add_argument("element")
-    sub.add_argument("--ab", action="store_true", help="print the abelianization")
     _add_common(sub)
     sub = f.add_parser("ab")
     sub.add_argument("element")
@@ -421,11 +416,11 @@ def build_parser():
     sub = magma.add_parser("check")
     sub.add_argument("file")
     sub.add_argument("law")
-    _add_common(sub, threads=True)
+    _add_common(sub)
     sub = magma.add_parser("eventual")
     sub.add_argument("file")
     sub.add_argument("law")
-    _add_common(sub, threads=True)
+    _add_common(sub)
     sub = magma.add_parser("solvable")
     sub.add_argument("file")
     _add_common(sub)
@@ -438,12 +433,12 @@ def build_parser():
         help="largest five-variable-law witness, in added carets, to report",
     )
     sub.add_argument("--arity-cap", type=int, default=None)
-    _add_common(sub, threads=True)
+    _add_common(sub)
     sub = magma.add_parser("search")
     sub.add_argument("file")
     sub.add_argument("arity", type=int)
     sub.add_argument("--force", action="store_true", help="ignore the cost guard")
-    _add_common(sub, threads=True)
+    _add_common(sub)
     sub = magma.add_parser("centralizer")
     sub.add_argument("file")
     sub.add_argument("zero")
@@ -462,7 +457,6 @@ def build_parser():
     sub.add_argument("file")
     sub.add_argument("lhs")
     sub.add_argument("rhs")
-    sub.add_argument("--cap", type=int, default=rewriting.LEAF_CAP)
     sub.add_argument(
         "--prune",
         action="store_true",
@@ -473,12 +467,10 @@ def build_parser():
     sub.add_argument("file", help="variety file; each law is a generator pair")
     sub.add_argument("element")
     sub.add_argument("--budget", type=int, default=3, help="max added carets")
-    sub.add_argument("--cap", type=int, default=rewriting.LEAF_CAP)
     _add_common(sub)
     sub = variety.add_parser("closure")
     sub.add_argument("file", help="variety file; each law is a generator pair")
     sub.add_argument("depth", type=int)
-    sub.add_argument("--word-cap", type=int, default=None)
     _add_common(sub)
 
     zoo_parser = top.add_parser("zoo", help="built-in examples").add_subparsers(
@@ -510,15 +502,8 @@ def run(argv):
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        # checked here, not by argparse, so that it exits 2 with --json honoured
-        if getattr(args, "threads", 1) < 1:
-            raise ParseError(f"thread count must be >= 1, got {args.threads}")
         result = _HANDLERS[args.command](args)
-    except ParseError as err:
-        result = CommandResult(
-            "error", {"error": str(err)}, exit_code=EXIT_INPUT, text=f"error: {err}"
-        )
-    except ValueError as err:
+    except ValueError as err:  # ParseError included
         result = CommandResult(
             "error", {"error": str(err)}, exit_code=EXIT_INPUT, text=f"error: {err}"
         )

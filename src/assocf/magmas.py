@@ -12,9 +12,9 @@ Sweeps over tuple spaces are vectorized with numpy and run blockwise, and a
 sweep that can stop early starts with small blocks.  A counterexample sweep
 reads its blocks in canonical (lexicographic) order, growing from
 _SMALL_BLOCK tuples, so the first counterexample reported is deterministic
-regardless of block size or worker count, and an early one costs a small
-sweep.  A check that needs only the verdict partitions trees by value, in
-any block order: two small blocks, then blocks of _PARTITION_BLOCK tuples.
+regardless of block size, and an early one costs a small sweep.  A check
+that needs only the verdict partitions trees by value, in any block order:
+two small blocks, then blocks of _PARTITION_BLOCK tuples.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -385,18 +384,6 @@ def _block_axes(domains, prefix_vars, lo, hi):
     return axes + list(np.ix_(range(1), *domains[prefix_vars:])[1:])
 
 
-def _in_waves(run, blocks, threads):
-    """run(block) for every block, yielded in block order; with threads > 1,
-    dispatched in waves of `threads` blocks."""
-    if threads <= 1:
-        yield from map(run, blocks)
-        return
-    blocks = iter(blocks)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while wave := list(itertools.islice(blocks, threads)):
-            yield from pool.map(run, wave)
-
-
 def _spread(count):
     """0..count-1, lazily, by a stride near count / golden ratio and coprime
     to count: every prefix of the order is spread over the range, without a
@@ -415,7 +402,7 @@ def _in_spread_order(prefix_vars, starts):
         yield prefix_vars, starts[i], min(starts[i] + starts.step, starts.stop)
 
 
-def _partition(rows, count, domains, threads=1):
+def _partition(rows, count, domains):
     """Classes, of two or more of `count` trees, that agree on every tuple
     over the domains.  rows(prefix_vars, lo, hi) gives every tree's values on
     the block [lo, hi) of _layout, one row per tree, and classes split as
@@ -433,7 +420,8 @@ def _partition(rows, count, domains, threads=1):
         small = _layout(domains, min(_SMALL_BLOCK, budget // 16))
         blocks = itertools.chain(itertools.islice(_in_spread_order(*small), 2), blocks)
     classes = [range(count)]
-    for values in _in_waves(lambda block: rows(*block), blocks, threads):
+    for block in blocks:
+        values = rows(*block)
         split = defaultdict(list)
         for k, c in enumerate(classes):
             for t in c:
@@ -505,36 +493,30 @@ def _whole(m, n):
     return [np.arange(len(m), dtype=m.table.dtype)] * n
 
 
-def satisfies(m, law, *, threads=1):
+def satisfies(m, law):
     """Exhaustive check of a law over all |S|^n tuples, early exit.  Blocks
-    are read in lexicographic order, so the counterexample is the first one
-    for any thread count; they start at _SMALL_BLOCK tuples and double up to
-    _BLOCK_ELEMENTS, so an early counterexample costs a small sweep, and a
-    law that holds reads every tuple once."""
+    are read in lexicographic order, so the counterexample is the first one;
+    they start at _SMALL_BLOCK tuples and double up to _BLOCK_ELEMENTS, so an
+    early counterexample costs a small sweep, and a law that holds reads
+    every tuple once."""
     domains = _whole(m, law.arity)
-    blocks = _growing_blocks(domains, _SMALL_BLOCK, _BLOCK_ELEMENTS)
     table, lhs, rhs = m.table, law.lhs, law.rhs
-
-    def run(block):
+    for block in _growing_blocks(domains, _SMALL_BLOCK, _BLOCK_ELEMENTS):
         prefix_vars, lo, _ = block
         axes = _block_axes(domains, *block)
         mismatch = _tree_values(table, lhs, axes) != _tree_values(table, rhs, axes)
         if mismatch.any():
             at = np.unravel_index(int(np.argmax(mismatch)), mismatch.shape)
             prefix = np.unravel_index(lo + int(at[0]), (len(m),) * prefix_vars)
-            return tuple(m.elements[int(i)] for i in (*prefix, *at[1:]))
-
-    found = (f for f in _in_waves(run, blocks, threads) if f is not None)
-    names = next(found, None)
-    if names is None:
-        return LawCheck(law, True)
-    return LawCheck(
-        law,
-        False,
-        counterexample=names,
-        lhs_value=evaluate(m, law.lhs, names),
-        rhs_value=evaluate(m, law.rhs, names),
-    )
+            names = tuple(m.elements[int(i)] for i in (*prefix, *at[1:]))
+            return LawCheck(
+                law,
+                False,
+                counterexample=names,
+                lhs_value=evaluate(m, law.lhs, names),
+                rhs_value=evaluate(m, law.rhs, names),
+            )
+    return LawCheck(law, True)
 
 
 def _graft(blocks):
@@ -596,7 +578,7 @@ def _holding_tuples(m, law, images):
     return counts == 0
 
 
-def satisfies_eventually(m, law, *, threads=1):
+def satisfies_eventually(m, law):
     """Decide whether some simultaneous expansion of the law holds, with a
     caret-minimal witness when one does; both kinds are exact.
 
@@ -619,7 +601,7 @@ def satisfies_eventually(m, law, *, threads=1):
         axes = _block_axes(domains, *block)
         return [_tree_values(m.table, t, axes) for t in (law.lhs, law.rhs)]
 
-    if not _partition(rows, 2, domains, threads):
+    if not _partition(rows, 2, domains):
         return EventualResult("never", law)
     if len(core) == len(m):
         # the only image is S: the law holds on the nose
@@ -677,7 +659,7 @@ def centralizer(m, subset, zero):
     return frozenset(m.elements[int(i)] for i in np.nonzero(mask)[0])
 
 
-def search_laws(m, n, *, force=False, threads=1):
+def search_laws(m, n, *, force=False):
     """All nontrivial laws of arity n that hold, exhaustively verified.
 
     The n-leaf trees are partitioned by their values on every tuple, and
@@ -707,12 +689,12 @@ def search_laws(m, n, *, force=False, threads=1):
     def rows(*block):
         return _top_rows(m.table, levels, n, *block)
 
-    classes = _partition(rows, n_trees, _whole(m, n), threads)
+    classes = _partition(rows, n_trees, _whole(m, n))
     pairs = sorted(p for c in classes for p in itertools.combinations(c, 2))
     return tuple(Law(shapes[i], shapes[j]) for i, j in pairs)
 
 
-def assoc_status(m, *, eventual_carets=6, arity_cap=None, threads=1):
+def assoc_status(m, *, eventual_carets=6, arity_cap=None):
     """Cascade classifier for the stable-associativity group of a magma.
 
     Associative or solvable certifies the full group; a two-sided identity
@@ -761,7 +743,7 @@ def assoc_status(m, *, eventual_carets=6, arity_cap=None, threads=1):
             },
         )
     fvl = five_variable_law()
-    eventual = satisfies_eventually(m, fvl, threads=threads)
+    eventual = satisfies_eventually(m, fvl)
     # a witness past the caret budget is left to the law search
     if eventual.holds and len(eventual.witness) <= eventual_carets:
         # on a simply perfect table every image is S: no expansion to show
@@ -776,7 +758,7 @@ def assoc_status(m, *, eventual_carets=6, arity_cap=None, threads=1):
     # the only law of arity 3 is associativity, which fails here
     searched_to = min(3, arity_cap)
     for arity in range(4, arity_cap + 1):
-        found.extend(search_laws(m, arity, threads=threads))
+        found.extend(search_laws(m, arity))
         searched_to = arity
         if found:
             return AssocStatus(

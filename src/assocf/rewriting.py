@@ -25,6 +25,11 @@ from .trees import LEAF, ExpansionWord, format_tree, leaf_count
 # (742900 trees) is the largest desk-sized slice.
 LEAF_CAP = 14
 
+# Most products closure_generate may build: |seeds|^depth.  The x1 closure
+# takes about a second at depth 3 (31^3 = 29,791) and did not finish in 40 s
+# at depth 4 (63^4 = 15,752,961).
+CLOSURE_GUARD = 100_000
+
 
 @dataclass(frozen=True)
 class VarietyPresentation:
@@ -188,18 +193,16 @@ def _rewrites(t, rules, vertex=""):
     return out
 
 
-def _search(p, q, variety, rules, leaf_cap, root_split_pruning):
+def _search(p, q, variety, rules, root_split_pruning):
     """(proof or None, the rewrite class of p when the BFS exhausted it).
 
     The class is None whenever the answer came without a full BFS.
     """
     if leaf_count(p) != leaf_count(q):
         raise ValueError("derivability needs equal leaf counts")
-    if leaf_cap < 1:
-        raise ValueError(f"leaf cap must be >= 1, got {leaf_cap}")
-    if leaf_count(p) > leaf_cap:
+    if leaf_count(p) > LEAF_CAP:
         raise BudgetExceeded(
-            f"{leaf_count(p)} leaves exceeds the search cap {leaf_cap}"
+            f"{leaf_count(p)} leaves exceeds the search cap {LEAF_CAP}"
         )
     if root_split_pruning:
         if not _preserves_root_split(variety):
@@ -238,16 +241,14 @@ def _proof(parents, q):
     return tuple(reversed(steps))
 
 
-def derivable(p, q, variety, *, leaf_cap=LEAF_CAP, root_split_pruning=False):
+def derivable(p, q, variety, *, root_split_pruning=False):
     """Proof (tuple of RewriteStep) rewriting p into q, or None.
 
     The search space is all trees with p's leaf count, so exhaustion of the
     reachable class certifies non-derivability at this leaf count (not at
     expansions; see eventually_derivable).
     """
-    proof, _ = _search(
-        p, q, variety, _rules(variety), leaf_cap, root_split_pruning
-    )
+    proof, _ = _search(p, q, variety, _rules(variety), root_split_pruning)
     return proof
 
 
@@ -311,9 +312,7 @@ class DerivabilityResult:
         return self.kind == "holds"
 
 
-def eventually_derivable(
-    p, q, variety, budget=3, *, leaf_cap=LEAF_CAP, root_split_pruning=False
-):
+def eventually_derivable(p, q, variety, budget=3, *, root_split_pruning=False):
     """Run derivable on every simultaneous expansion of (p, q), breadth
     first by added carets, up to the budget.
 
@@ -334,9 +333,7 @@ def eventually_derivable(
         label = labels.get(lhs)
         if label is not None and labels.get(rhs) != label:
             continue
-        proof, exhausted = _search(
-            lhs, rhs, variety, rules, leaf_cap, root_split_pruning
-        )
+        proof, exhausted = _search(lhs, rhs, variety, rules, root_split_pruning)
         if proof is not None:
             return DerivabilityResult(
                 "holds",
@@ -370,27 +367,37 @@ def _vertex_words(depth):
         yield from ("".join(w) for w in product("01", repeat=length))
 
 
-def closure_generate(generators, depth, *, word_cap=None):
+def closure_generate(generators, depth):
     """Bounded slice of the smallest shift-invariant subgroup containing
     the generators.
 
     Seeds are sigma_w(g) and sigma_w(g^-1) for vertex words with |w| up to
-    word_cap (default: depth); the result is every product of at most
-    `depth` seeds, deduplicated by reduced pair.  Always contains the
-    identity; an under-approximation that only grows with either bound.
-    A negative depth or word cap raises ValueError.
+    depth; the result is every product of at most `depth` seeds, deduplicated
+    by reduced pair.  Always contains the identity; an under-approximation
+    that only grows with depth.  A negative depth raises ValueError, and a
+    closure that may build more than CLOSURE_GUARD products raises
+    BudgetExceeded before any seed is built.
     """
-    cap = depth if word_cap is None else word_cap
-    for name, bound in (("depth", depth), ("word cap", cap)):
-        if bound < 0:
-            raise ValueError(f"closure {name} must be >= 0, got {bound}")
-    seeds = {thompson.IDENTITY}
-    for g in generators:
-        for word in _vertex_words(cap):
-            seeds.add(shift_at_vertex(g, word))
-            seeds.add(shift_at_vertex(thompson.invert(g), word))
+    if depth < 0:
+        raise ValueError(f"closure depth must be >= 0, got {depth}")
+    # seeds: the identity, and g and g^-1 along each of the 2^(depth+1) - 1
+    # vertex words; from the guard's bit length on, the words alone pass the
+    # guard, so they are counted to that length only
+    length = min(depth, CLOSURE_GUARD.bit_length())
+    count = 1 + 2 * len(generators) * (2 ** (length + 1) - 1)
+    if count > CLOSURE_GUARD or count**depth > CLOSURE_GUARD:
+        over = "" if length == depth else "over "
+        raise BudgetExceeded(
+            f"closure to depth {depth} may build {over}{count}^{depth} "
+            f"products, past the guard of {CLOSURE_GUARD}"
+        )
     if depth < 1:
         return frozenset({thompson.IDENTITY})
+    seeds = {thompson.IDENTITY}
+    for g in generators:
+        for word in _vertex_words(depth):
+            seeds.add(shift_at_vertex(g, word))
+            seeds.add(shift_at_vertex(thompson.invert(g), word))
     # every element kept is rebuilt from shared nodes as soon as it is made
     current = frozenset(map(thompson.share, seeds))
     for _ in range(depth - 1):
@@ -416,14 +423,12 @@ class MembershipResult:
         return self.kind == "in"
 
 
-def membership_semidecide(g, generators, *, budget=3, leaf_cap=LEAF_CAP):
+def membership_semidecide(g, generators, *, budget=3):
     """Test g against the subgroup generated by `generators` under both
     shifts, via eventual derivability of g's reduced pair in the variety
     presented by the generators' pairs."""
     variety = VarietyPresentation.from_elements(generators)
-    result = eventually_derivable(
-        g.source, g.target, variety, budget, leaf_cap=leaf_cap
-    )
+    result = eventually_derivable(g.source, g.target, variety, budget)
     if result:
         return MembershipResult("in", result.expansion, result.proof)
     return MembershipResult("not-derivable-up-to")

@@ -4,8 +4,8 @@ import contextlib
 import itertools
 import json
 import math
+import pathlib
 import random
-import sys
 from collections import defaultdict
 
 import numpy as np
@@ -212,6 +212,15 @@ def test_load_magma_error_messages(text, message):
     assert str(err.value) == message
 
 
+def test_the_readme_magma_sample_loads_as_its_fixture():
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    readme = (repo / "README.md").read_text()
+    section = readme.split("## File formats", 1)[1]
+    sample = section.split("```\n", 2)[1]
+    fixture = (repo / "fixtures" / "pre_sl2.magma").read_text()
+    assert load_magma(sample) == load_magma(fixture)
+
+
 def test_load_magma_rejects_empty():
     with pytest.raises(ParseError):
         load_magma("# nothing here\n")
@@ -275,13 +284,13 @@ def test_satisfies_matches_bruteforce(m, law):
         assert (check.lhs_value, check.rhs_value) == (lhs, rhs)
 
 
-@given(magma_strategy, law_strategy(4), st.integers(1, 3), st.integers(2, 9))
-def test_blocked_sweep_is_invariant(m, law, threads, block):
+@given(magma_strategy, law_strategy(4), st.integers(2, 9))
+def test_blocked_sweep_is_invariant(m, law, block):
     baseline = satisfies(m, law)
     saved = magmas._BLOCK_ELEMENTS
     magmas._BLOCK_ELEMENTS = block
     try:
-        blocked = satisfies(m, law, threads=threads)
+        blocked = satisfies(m, law)
     finally:
         magmas._BLOCK_ELEMENTS = saved
     assert blocked == baseline
@@ -290,15 +299,14 @@ def test_blocked_sweep_is_invariant(m, law, threads, block):
 @given(
     magma_strategy,
     law_strategy(5),
-    st.integers(1, 3),
     st.integers(1, 9),
     st.integers(0, 200),
 )
-def test_growing_blocks_keep_the_first_counterexample(m, law, threads, start, extra):
+def test_growing_blocks_keep_the_first_counterexample(m, law, start, extra):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(magmas, "_SMALL_BLOCK", start)
         patch.setattr(magmas, "_BLOCK_ELEMENTS", start + extra)
-        check = satisfies(m, law, threads=threads)
+        check = satisfies(m, law)
     expected = oracle_first_counterexample(m, law)
     assert check.counterexample == (None if expected is None else expected[0])
 
@@ -468,15 +476,15 @@ def test_eventual_core_decision_matches_its_certificates(m, law):
 
 
 @settings(max_examples=30)
-@given(small_tables(4), st.integers(3, 5), st.integers(2, 3), st.sampled_from([5, 40]))
-def test_results_do_not_depend_on_threads(m, n, threads, block):
+@given(small_tables(4), st.integers(3, 5), st.sampled_from([5, 40]))
+def test_results_do_not_depend_on_block_size(m, n, block):
     laws = search_laws(m, n)
     eventual = satisfies_eventually(m, X1_LAW)
     saved = magmas._BLOCK_ELEMENTS
     magmas._BLOCK_ELEMENTS = block
     try:
-        assert search_laws(m, n, threads=threads) == laws
-        assert satisfies_eventually(m, X1_LAW, threads=threads) == eventual
+        assert search_laws(m, n) == laws
+        assert satisfies_eventually(m, X1_LAW) == eventual
     finally:
         magmas._BLOCK_ELEMENTS = saved
 
@@ -650,12 +658,6 @@ def test_search_returns_no_trivial_or_duplicate_laws(builtins):
         seen.add(key)
 
 
-def test_search_results_do_not_depend_on_threads(builtins):
-    s4 = builtins["s4"]
-    base = search_laws(s4, 4)
-    assert search_laws(s4, 4, threads=3) == base
-
-
 @settings(max_examples=60)
 @given(small_tables(5), st.integers(3, 5))
 def test_search_matches_the_pairwise_reference(m, n):
@@ -693,24 +695,16 @@ def test_default_guard_stops_arity_3_from_369_elements():
 
 def test_search_refines_across_many_blocks(builtins, monkeypatch):
     # s4 and z4 keep classes of several trees to the last block, pre_sl2
-    # parts every tree early; 4 threads on a short switch interval read
-    # `classes` while it is being refined
-    saved = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for name, n in (("s4", 4), ("z4_addition", 5), ("pre_sl2", 5)):
-            m = builtins[name]
-            expected = reference_search_laws(m, n)
-            assert (len(expected) > 0) == (name != "pre_sl2")
-            for block in (7, 64):
-                monkeypatch.setattr(magmas, "_BLOCK_ELEMENTS", block)
-                per_tree = block // len(trees.enumerate_trees(n))
-                assert len(magmas._layout(magmas._whole(m, n), per_tree)[1]) > 1
-                for threads in (1, 4):
-                    got = search_laws(m, n, threads=threads)
-                    assert got == expected, (name, block, threads)
-    finally:
-        sys.setswitchinterval(saved)
+    # parts every tree early
+    for name, n in (("s4", 4), ("z4_addition", 5), ("pre_sl2", 5)):
+        m = builtins[name]
+        expected = reference_search_laws(m, n)
+        assert (len(expected) > 0) == (name != "pre_sl2")
+        for block in (7, 64):
+            monkeypatch.setattr(magmas, "_BLOCK_ELEMENTS", block)
+            per_tree = block // len(trees.enumerate_trees(n))
+            assert len(magmas._layout(magmas._whole(m, n), per_tree)[1]) > 1
+            assert search_laws(m, n) == expected, (name, block)
 
 
 def grid_laws(m, n):
@@ -726,11 +720,11 @@ def grid_laws(m, n):
 
 
 @settings(max_examples=60)
-@given(small_tables(6), st.integers(1, 6), st.sampled_from([1, 4]), st.integers(1, 40))
+@given(small_tables(6), st.integers(1, 6), st.integers(1, 40))
 # 3^5 tuples in blocks of 3 * 3^2: two leading variables, so the 1-leaf
 # left subtree indexes its rows by combo and the others slice their levels
-@example(table_of([[0, 1, 2], [1, 1, 0], [2, 0, 0]]), 5, 4, 3)
-def test_level_rows_are_the_tree_values(m, n, threads, block):
+@example(table_of([[0, 1, 2], [1, 1, 0], [2, 0, 0]]), 5, 3)
+def test_level_rows_are_the_tree_values(m, n, block):
     table, shapes = m.table, trees.enumerate_trees(n)
     levels = magmas._levels(table, n)
     for k in range(1, n + 1):
@@ -753,7 +747,7 @@ def test_level_rows_are_the_tree_values(m, n, threads, block):
     saved = magmas._PARTITION_BLOCK
     magmas._PARTITION_BLOCK = block
     try:
-        assert search_laws(m, n, threads=threads) == grid_laws(m, n)
+        assert search_laws(m, n) == grid_laws(m, n)
     finally:
         magmas._PARTITION_BLOCK = saved
 
@@ -809,12 +803,11 @@ def small_blocks(small):
     st.integers(2, 5),
     st.integers(0, 2**31),
     st.integers(5, 12),
-    st.sampled_from([1, 3]),
 )
 # five variables of up to 5 elements, in blocks of up to 80 tuples after two
 # of up to 5
-@example(table_of([[0, 1, 0, 2, 0]] * 5), 5, 1, 5, 1)
-def test_partition_matches_grouping_by_value_vectors(m, n, seed, small, threads):
+@example(table_of([[0, 1, 0, 2, 0]] * 5), 5, 1, 5)
+def test_partition_matches_grouping_by_value_vectors(m, n, seed, small):
     gen = random.Random(seed)
     shapes = [random_tree(gen, n) for _ in range(gen.randint(1, 5))]
     # a repeated tree keeps one class to the end: the sweep reads every block
@@ -830,7 +823,7 @@ def test_partition_matches_grouping_by_value_vectors(m, n, seed, small, threads)
         return [magmas._tree_values(m.table, t, axes).ravel() for t in shapes]
 
     with small_blocks(small):
-        classes = magmas._partition(rows, len(shapes), domains, threads)
+        classes = magmas._partition(rows, len(shapes), domains)
     grid = list(np.ix_(*domains))
     groups = defaultdict(list)
     for i, t in enumerate(shapes):

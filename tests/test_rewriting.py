@@ -165,15 +165,17 @@ def test_derivable_validates_leaf_counts():
         derivable(trees.LEAF, trees.parse_tree("(. .)"), ASSOC)
 
 
-def test_derivable_enforces_leaf_cap():
+def test_derivable_enforces_leaf_cap(monkeypatch):
     big = right_comb(LEAF_CAP + 1)
     with pytest.raises(BudgetExceeded):
         derivable(big, trees.reflect(big), ASSOC)
-    # the cap is adjustable in both directions
+    # the cap is read when the search starts
     small = right_comb(8)
-    with pytest.raises(BudgetExceeded):
-        derivable(small, trees.reflect(small), ASSOC, leaf_cap=7)
-    assert derivable(small, trees.reflect(small), ASSOC, leaf_cap=8)
+    monkeypatch.setattr(rewriting, "LEAF_CAP", 7)
+    with pytest.raises(BudgetExceeded, match="^8 leaves exceeds the search cap 7$"):
+        derivable(small, trees.reflect(small), ASSOC)
+    monkeypatch.setattr(rewriting, "LEAF_CAP", 8)
+    assert derivable(small, trees.reflect(small), ASSOC)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -573,14 +575,6 @@ def test_closure_contains_inverses_and_shifts_of_generators():
     assert th.shift_endo(GENS["x1"], "right") in d1
 
 
-def test_closure_word_cap_controls_the_seed_alphabet():
-    # c1 is a product of four depth-one shifts of c0
-    members = closure_generate([GENS["c0"]], 4, word_cap=1)
-    assert GENS["c1"] in members
-    assert len(members) == 593
-    assert all(th.abelianize(g) == (0, 0) for g in members)
-
-
 def unshared_closure(generators, depth):
     """closure_generate as it is specified, keeping the products as built."""
     words = [
@@ -606,17 +600,41 @@ def test_closure_keeps_one_node_per_distinct_subtree(monkeypatch):
     assert len(kept) == len(set(kept.values()))
 
 
+@pytest.mark.parametrize("depth", [-1, -2])
+def test_closure_rejects_negative_depths(depth):
+    with pytest.raises(ValueError, match=f"^closure depth must be >= 0, got {depth}$"):
+        closure_generate([GENS["x1"]], depth)
+
+
 @pytest.mark.parametrize(
-    "depth,word_cap,message",
+    "generators,depth,count",
     [
-        (-1, None, "closure depth must be >= 0, got -1"),
-        (1, -3, "closure word cap must be >= 0, got -3"),
-        (-2, -5, "closure depth must be >= 0, got -2"),
+        (["x1"], 4, "63^4"),
+        (["x1", "x0"], 3, "61^3"),
+        # the seed words alone pass the guard: counted to its bit length only
+        (["x1"], 10**9, "over 524287^1000000000"),
     ],
 )
-def test_closure_rejects_negative_bounds(depth, word_cap, message):
-    with pytest.raises(ValueError, match=message):
-        closure_generate([GENS["x1"]], depth, word_cap=word_cap)
+def test_closure_guard_counts_products_before_building_seeds(
+    generators, depth, count, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("a seed was built")
+
+    monkeypatch.setattr(rewriting, "shift_at_vertex", refuse)
+    with pytest.raises(BudgetExceeded) as err:
+        closure_generate([GENS[g] for g in generators], depth)
+    assert str(err.value) == (
+        f"closure to depth {depth} may build {count} products, past the guard of 100000"
+    )
+
+
+def test_closure_guard_stops_depth_3_just_below_its_count(monkeypatch):
+    # 31^3 = 29,791 products at depth 3; a guard just below that stops it
+    monkeypatch.setattr(rewriting, "CLOSURE_GUARD", 29_790)
+    with pytest.raises(BudgetExceeded, match="31\\^3 products"):
+        closure_generate([GENS["x1"]], 3)
+    assert len(closure_generate([GENS["x1"]], 2)) == 129
 
 
 # --- membership ----------------------------------------------------------------------------

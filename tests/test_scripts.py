@@ -70,7 +70,7 @@ def test_bench_measures_one_row():
     [
         ("halfpower_separation", ["--budget", "-1"], "caret budget must be >= 0, got -1"),
         ("halfpower_separation", ["--depth", "-1"], "closure depth must be >= 0, got -1"),
-        ("classify_zoo", ["--threads", "0"], "thread count must be >= 1, got 0"),
+        ("classify_zoo", ["--budget", "-1"], "caret budget must be >= 0, got -1"),
         ("classify_zoo", ["--arity-cap", "1"], "law arity cap must be >= 2, got 1"),
     ],
 )
