@@ -75,11 +75,6 @@ def product(a, b, magmas):
     return magmas.Magma(names, table.reshape(len(names), len(names)))
 
 
-def cyclic(size, magmas):
-    ring = range(size)
-    return magmas.Magma([str(i) for i in ring], [[(i + j) % size for j in ring] for i in ring])
-
-
 def random_table(size, magmas):
     table = numpy.random.default_rng(size).integers(0, size, (size, size))
     return magmas.Magma([str(i) for i in range(size)], table)
@@ -106,12 +101,12 @@ def tuples_read(magmas, sweep):
 def rows(assocf):
     """(name, params, work unit, call) for every row; call() returns its
     work count."""
-    magmas, cli = assocf.magmas, assocf.cli
+    magmas, cli, cyclic = assocf.magmas, assocf.cli, assocf.zoo.cyclic_addition
     fixtures = sorted((REPO / "fixtures").glob("*.magma"))
     load = {p.stem: magmas.load_magma(p.read_text()) for p in fixtures}
     out = []
     for kind, size, n in SEARCHES:
-        m = (cyclic if kind == "cyclic" else random_table)(size, magmas)
+        m = cyclic(size) if kind == "cyclic" else random_table(size, magmas)
         evaluations = math.comb(2 * n - 2, n - 1) // n * size**n
 
         def search(m=m, n=n, evaluations=evaluations):
@@ -120,14 +115,14 @@ def rows(assocf):
 
         params = {"table": kind, "size": size, "arity": n}
         out.append(("magmas.search_laws", params, "tree evaluations", search))
-    for name, m in (("a5_commutator", load["a5_commutator"]), ("cyclic", cyclic(60, magmas))):
+    for name, m in (("a5_commutator", load["a5_commutator"]), ("cyclic", cyclic(60))):
 
         def check(m=m):
             return tuples_read(magmas, lambda: magmas.satisfies(m, magmas.associative_law()))
 
         params = {"table": name, "size": len(m), "law": "associativity"}
         out.append(("magmas.satisfies", params, "tuples read", check))
-    z16 = cyclic(16, magmas)
+    z16 = cyclic(16)
     for name, m in (
         ("a5_commutator", load["a5_commutator"]),
         ("pre_sl2 x Z_16", product(load["pre_sl2"], z16, magmas)),
@@ -188,6 +183,7 @@ def main(argv=None):
     sys.path.insert(0, str(src))
     import assocf.cli
     import assocf.magmas
+    import assocf.zoo
 
     out = pathlib.Path(args.out)
     report = json.loads(out.read_text()) if out.is_file() else {"rows": []}

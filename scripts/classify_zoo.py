@@ -3,10 +3,11 @@
 
 Runs the associativity-status cascade over the zoo (or a chosen subset) and
 prints one line per table: size, verdict, the key evidence, and elapsed
-time.  Useful for eyeballing how the limits behave as table size grows.
+time, at the library's default limits.  Useful for eyeballing how the cost
+grows with table size.
 
     python scripts/classify_zoo.py
-    python scripts/classify_zoo.py --only pre_sl2 --arity-cap 6
+    python scripts/classify_zoo.py --only pre_sl2 --only s4
 """
 
 import argparse
@@ -25,13 +26,6 @@ def parse_args(argv):
         metavar="NAME",
         help="restrict to this builtin (repeatable); default: all",
     )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=6,
-        help="largest five-variable-law witness, in added carets, to report",
-    )
-    parser.add_argument("--arity-cap", type=int, default=None)
     args = parser.parse_args(argv)
     args.only = args.only or sorted(zoo.BUILTINS)
     return args
@@ -59,13 +53,7 @@ def main(argv=None):
     for name in args.only:
         m = zoo.BUILTINS[name]()
         start = time.perf_counter()
-        try:
-            status = magmas.assoc_status(
-                m, eventual_carets=args.budget, arity_cap=args.arity_cap
-            )
-        except ValueError as err:  # a malformed limit exits 2, as in the CLI
-            print(f"error: {err}")
-            return 2
+        status = magmas.assoc_status(m)
         elapsed = time.perf_counter() - start
         print(
             f"{name:<{width}}  |S|={len(m.elements):<3} "

@@ -10,11 +10,9 @@ half-power 1/2^n off the set {1/2^k}, while x1 and everything generated
 from its shifted copies stabilizes that set.
 
     python scripts/halfpower_separation.py
-    python scripts/halfpower_separation.py --budget 2 --depth 2
 """
 
 import argparse
-import dataclasses
 import sys
 import time
 
@@ -26,32 +24,10 @@ from assocf.trees import parse_tree
 X1_LAW_TEXT = "(. ((. .) .)) = (. (. (. .)))"
 R1_TEXT = "((. .) (. (. .)))"
 R2_TEXT = "((. (. .)) (. .))"
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    budget: int
-    depth: int
-
-    def __post_init__(self):
-        for name, bound in (
-            ("caret budget", self.budget),
-            ("closure depth", self.depth),
-        ):
-            if bound < 0:
-                raise ValueError(f"{name} must be >= 0, got {bound}")
-
-
-def parse_args(argv):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--budget", type=int, default=3, help="added carets for the eventual search"
-    )
-    parser.add_argument(
-        "--depth", type=int, default=3, help="closure depth for the x1 side"
-    )
-    args = parser.parse_args(argv)
-    return RunConfig(args.budget, args.depth)
+# added carets for the eventual search (eventually_derivable's default) and
+# the closure depth on the x1 side
+BUDGET = 3
+DEPTH = 3
 
 
 def first_moved_halfpower(g):
@@ -66,11 +42,9 @@ def first_moved_halfpower(g):
 
 
 def main(argv=None):
-    try:
-        cfg = parse_args(sys.argv[1:] if argv is None else argv)
-    except ValueError as err:  # malformed input exits 2, as in the CLI
-        print(f"error: {err}")
-        return 2
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(
+        sys.argv[1:] if argv is None else argv
+    )
     variety = rewriting.VarietyPresentation((parse_law(X1_LAW_TEXT),))
     r1, r2 = parse_tree(R1_TEXT), parse_tree(R2_TEXT)
 
@@ -80,9 +54,9 @@ def main(argv=None):
 
     proof = rewriting.derivable(r1, r2, variety)
     print(f"derivable(r1, r2): {'yes' if proof is not None else 'no'}")
-    res = rewriting.eventually_derivable(r1, r2, variety, budget=cfg.budget)
+    res = rewriting.eventually_derivable(r1, r2, variety, budget=BUDGET)
     print(
-        f"eventually derivable within {cfg.budget} added carets: "
+        f"eventually derivable within {BUDGET} added carets: "
         f"{'yes' if res else 'no'} ({res.pairs_checked} expansion pairs checked)"
     )
 
@@ -100,12 +74,12 @@ def main(argv=None):
 
     x1 = thompson.generators()["x1"]
     start = time.perf_counter()
-    members = rewriting.closure_generate([x1], cfg.depth)
+    members = rewriting.closure_generate([x1], DEPTH)
     built = time.perf_counter() - start
     failing = sum(1 for h in members if not plmaps.stabilizes_halfpowers(h))
     checked = time.perf_counter() - start - built
     print(
-        f"\nclosure of x1 at depth {cfg.depth}: {len(members)} elements "
+        f"\nclosure of x1 at depth {DEPTH}: {len(members)} elements "
         f"(built in {built:.2f}s)"
     )
     print(

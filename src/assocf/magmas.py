@@ -639,16 +639,26 @@ def is_solvable(m):
 
 def restricted_image(m, tree, fixed):
     """Image of the tree operation with some leaf positions (1-based) pinned
-    to fixed elements and the rest ranging over the whole magma."""
+    to fixed elements and the rest ranging over the whole magma.
+
+    A free leaf has image S and a pinned one {x}; the two subtrees of a
+    caret read disjoint leaves, so Im((L R)) = op(Im L x Im R) exactly."""
     n = leaf_count(tree)
     for pos in fixed:
         if not 1 <= pos <= n:
             raise ValueError(f"leaf position {pos} out of range 1..{n}")
-    domains = _whole(m, n)
-    for pos in sorted(fixed):
-        domains[pos - 1] = domains[pos - 1][[m.index(fixed[pos])]]
-    values = _tree_values(m.table, tree, _block_axes(domains, 0, 0, 1))
-    return frozenset(m.elements[int(v)] for v in np.unique(values))
+    pinned = {pos: (m.index(fixed[pos]),) for pos in sorted(fixed)}
+    whole = tuple(range(len(m)))
+
+    def rec(node, start):
+        if trees.is_leaf(node):
+            return pinned.get(start, whole), start + 1
+        left, after = rec(node[0], start)
+        right, after = rec(node[1], after)
+        return _product_image(m.table, left, right), after
+
+    image, _ = rec(tree, 1)
+    return frozenset(m.elements[i] for i in image)
 
 
 def centralizer(m, subset, zero):

@@ -96,11 +96,6 @@ def instantiate(pattern, substitution):
     """Graft substitution subtrees onto the pattern's leaves, in order."""
     shape = trees.preorder_shape(pattern)
     used = shape.count(False)
-    if used > len(substitution):
-        raise ValueError(
-            f"pattern needs more than the {len(substitution)} "
-            "substitution subtrees given"
-        )
     if used != len(substitution):
         raise ValueError(
             f"pattern has {used} variables, substitution has {len(substitution)}"

@@ -1,7 +1,7 @@
 """Built-in example algebras and a small permutation-group engine.
 
-Everything here returns an immutable Magma (or GroupTable) built from
-scratch: the four-element tables, commutator magmas of permutation groups,
+Everything here returns an immutable Magma built from scratch: the
+four-element tables, permutation groups and their commutator magmas,
 the sixteen signed octonion units, the signed sl2 basis fragment, and cyclic
 addition.  BUILTINS maps stable names to builders for the CLI.
 """
@@ -75,47 +75,9 @@ def cycle_notation(images):
     return "".join(parts) or "e"
 
 
-class GroupTable:
-    """Cayley table with the group axioms verified at construction."""
-
-    def __init__(self, elements, table):
-        self.elements = tuple(elements)
-        n = len(self.elements)
-        arr = np.asarray(table)
-        if arr.shape != (n, n) or (arr.size and (arr.min() < 0 or arr.max() >= n)):
-            raise ValueError("bad Cayley table")
-        self.table = arr.astype(np.uint8 if n <= 256 else np.uint16)
-        self.table.setflags(write=False)
-        ident = np.arange(n)
-        self.identity = next(
-            (
-                i
-                for i in range(n)
-                if np.array_equal(self.table[i], ident)
-                and np.array_equal(self.table[:, i], ident)
-            ),
-            None,
-        )
-        if self.identity is None:
-            raise ValueError("table has no two-sided identity")
-        inverses = []
-        for i in range(n):
-            js = np.nonzero(self.table[i] == self.identity)[0]
-            if len(js) != 1 or self.table[js[0], i] != self.identity:
-                raise ValueError("table has a non-invertible element")
-            inverses.append(int(js[0]))
-        self.inverses = tuple(inverses)
-        if n <= 60:
-            a = self.table
-            if not np.array_equal(a[a], a[:, a]):
-                raise ValueError("table is not associative")
-
-    def __len__(self):
-        return len(self.elements)
-
-
 def permutation_group(generators):
-    """Closure of the generators, as a GroupTable with cycle-notation names.
+    """Closure of the generators, as the Magma of its composition table
+    with cycle-notation names.
 
     Elements are ordered lexicographically by image tuple, which puts the
     identity first.  A group of more than PERMUTATION_CAP elements raises
@@ -147,13 +109,21 @@ def permutation_group(generators):
         [index[tuple(p[v] for v in q)] for q in ordered]  # p after q
         for p in ordered
     ]
-    return GroupTable([cycle_notation(images) for images in ordered], table)
+    return Magma([cycle_notation(images) for images in ordered], table)
 
 
 def commutator_magma(group):
-    """The magma x, y -> x y x^-1 y^-1 over a group table."""
-    a = group.table
-    inv = np.asarray(group.inverses)
+    """The magma x, y -> x y x^-1 y^-1 over a group's Magma.
+
+    The table is taken to be associative, as a permutation group's is."""
+    identity = group.two_sided_identity
+    if identity is None:
+        raise ValueError("table has no two-sided identity")
+    a, e = group.table, group.index(identity)
+    inv = np.argmax(a == e, axis=1)  # the first right inverse, or 0
+    each = np.arange(len(a))
+    if not ((a[each, inv] == e) & (a[inv, each] == e)).all():
+        raise ValueError("table has a non-invertible element")
     xy_xi = a[a, inv[:, None]]
     table = a[xy_xi, inv[None, :]]
     return Magma(group.elements, table)

@@ -11,6 +11,7 @@ import io
 import json
 import pathlib
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -257,6 +258,38 @@ def test_a_leaf_position_pinned_twice_exits_2(capsys):
     assert (code, out) == (2, "error: leaf position 1 is pinned twice\n")
     # one pin per position still answers
     assert run_capture([*argv[:4], "1=a", "2=b"], capsys)[0] == 0
+
+
+SIX_LEAVES = "(((. .) .) ((. .) .))"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "tree", [SIX_LEAVES, f"({SIX_LEAVES} {SIX_LEAVES})"], ids=["6-leaves", "12-leaves"]
+)
+def test_images_of_large_trees_answer_in_bounded_memory(tree, json_flag, capsys):
+    # a5 is perfect and every element is a commutator, so every tree's image
+    # is all 60 elements; a sweep of the 60^6 tuples would ask for 43.5 GiB,
+    # which the 1.5 GB address-space limit turns into a failure
+    argv = ["magma", "image", "fixtures/a5_commutator.magma", tree, *json_flag]
+    limit = 1_500_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "assocf.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    start = time.perf_counter()
+    code, out = run_capture(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, proc.stdout)
+    if json_flag:
+        assert len(json.loads(out)["payload"]["image"]) == 60
+    else:
+        assert out.startswith("60 elements: ")
 
 
 @pytest.mark.parametrize("cap", ["-1", "0", "1"])

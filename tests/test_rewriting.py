@@ -113,7 +113,7 @@ def test_match_rejects_shallow_targets():
 
 
 def test_instantiate_validates_count():
-    with pytest.raises(ValueError, match="needs more than the 1"):
+    with pytest.raises(ValueError, match="has 2 variables, substitution has 1"):
         instantiate(trees.parse_tree("(. .)"), (trees.LEAF,))
     with pytest.raises(ValueError, match="has 2 variables, substitution has 3"):
         instantiate(trees.parse_tree("(. .)"), (trees.LEAF,) * 3)

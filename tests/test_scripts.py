@@ -5,8 +5,6 @@ import importlib.util
 import json
 import pathlib
 
-import pytest
-
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -39,22 +37,11 @@ def test_classify_zoo_decides_sl2_without_an_abort(capsys):
     assert lines[1].strip() == "arity <= 4"
 
 
-def test_regen_goldens_cases_match_the_golden_files():
-    # each golden is written from CASES, so an edit to one must reach both
-    script = load_script("regen_goldens")
-    cases = dict(script.CASES)
-    assert len(cases) == len(script.CASES)
-    goldens = {
-        path.stem: json.loads(path.read_text())["argv"]
-        for path in (REPO / "tests" / "golden").glob("*.json")
-    }
-    assert goldens == cases
-
-
 def test_bench_measures_one_row():
     # a smoke test of the row list and the timer: no timing is checked
     import assocf.cli
     import assocf.magmas
+    import assocf.zoo
 
     script = load_script("bench")
     rows = {(name, json.dumps(params)): call for name, params, _, call in script.rows(assocf)}
@@ -63,18 +50,3 @@ def test_bench_measures_one_row():
     # the work is tuples read: at most 8 blocks of 2^16
     assert row["repeats"] == 1 and 1 <= row["work"] <= 8 * 2**16
     assert 0 < row["min_s"] <= row["median_s"] and row["min_ref_s"] > 0
-
-
-@pytest.mark.parametrize(
-    "name,argv,message",
-    [
-        ("halfpower_separation", ["--budget", "-1"], "caret budget must be >= 0, got -1"),
-        ("halfpower_separation", ["--depth", "-1"], "closure depth must be >= 0, got -1"),
-        ("classify_zoo", ["--budget", "-1"], "caret budget must be >= 0, got -1"),
-        ("classify_zoo", ["--arity-cap", "1"], "law arity cap must be >= 2, got 1"),
-    ],
-)
-def test_scripts_exit_2_on_malformed_input(name, argv, message, capsys):
-    # the CLI's exit contract: one error line, no traceback, nothing run
-    assert load_script(name).main(argv) == 2
-    assert capsys.readouterr().out == f"error: {message}\n"

@@ -1,6 +1,7 @@
 """Tests for the example-table zoo: permutation machinery, group tables,
-commutator magmas, the signed sl2 bracket table and its collapse, and the
-octonion unit loop (checked against an independent Cayley-Dickson oracle).
+commutator magmas and the derived series they model, the signed sl2 bracket
+table and its collapse, and the octonion unit loop (checked against an
+independent Cayley-Dickson oracle).
 """
 
 import itertools
@@ -8,15 +9,22 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assocf import zoo
 from assocf.errors import BudgetExceeded
-from assocf.magmas import Magma, dump_magma, load_magma
-from assocf.trees import parse_tree
-from assocf.magmas import restricted_image
+from assocf.magmas import (
+    Magma,
+    derived_chain,
+    dump_magma,
+    is_solvable,
+    load_magma,
+    restricted_image,
+)
+from assocf.trees import complete_tree, parse_tree
 from assocf.zoo import (
     BUILTINS,
-    GroupTable,
     Permutation,
     a5_commutator,
     commutator_magma,
@@ -136,27 +144,28 @@ def test_permutation_group_input_validation():
 
 def test_group_table_identity_and_inverses():
     g = permutation_group(S3_GENS)
-    n = len(g)
-    assert g.elements[g.identity] == "e"
-    for i in range(n):
-        assert g.table[i, g.inverses[i]] == g.identity
-        assert g.table[g.inverses[i], i] == g.identity
+    assert isinstance(g, Magma)
+    assert g.two_sided_identity == "e"
+    assert g.associativity.holds
+    m = commutator_magma(g)
+    for x in g.elements:
+        (inverse,) = [y for y in g.elements if g.op(x, y) == "e"]
+        assert g.op(inverse, x) == "e"
+        assert m.op(x, inverse) == m.op(x, x) == "e"
 
 
 def test_group_table_rejects_no_identity():
-    with pytest.raises(ValueError, match="identity"):
-        GroupTable(("x", "y"), [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="table has no two-sided identity"):
+        commutator_magma(Magma(("x", "y"), [[0, 0], [0, 0]]))
 
 
 def test_group_table_rejects_non_invertible():
-    with pytest.raises(ValueError, match="invertible"):
-        GroupTable(("x", "y"), [[0, 1], [1, 1]])
-
-
-def test_group_table_rejects_non_associative():
-    loop = octonion_unit_loop()
-    with pytest.raises(ValueError, match="associative"):
-        GroupTable(loop.elements, np.asarray(loop.table))
+    with pytest.raises(ValueError, match="table has a non-invertible element"):
+        commutator_magma(Magma(("x", "y"), [[0, 1], [1, 1]]))
+    # every row holds the identity, but a's right inverse b has b a = a
+    one_sided = Magma(("e", "a", "b"), [[0, 1, 2], [1, 1, 0], [2, 1, 0]])
+    with pytest.raises(ValueError, match="table has a non-invertible element"):
+        commutator_magma(one_sided)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +223,62 @@ def test_commutator_with_identity_is_identity():
 
 def test_commutator_magma_rebuild_equals_cached():
     assert commutator_magma(permutation_group(S3_GENS)) == s3_commutator()
+
+
+# ---------------------------------------------------------------------------
+# the derived chain of a commutator magma is the derived series
+
+
+def closure(gens, degree):
+    """The subgroup the permutations generate, by breadth-first products."""
+    group = frontier = {Permutation.identity(degree)}
+    while frontier:
+        frontier = {p * g for p in frontier for g in gens} - group
+        group = group | frontier
+    return group
+
+
+def derived_length(gens, degree):
+    """Least k with G^(k) trivial, G^(k+1) generated by the commutators of
+    G^(k); None when the series stops at a nontrivial subgroup."""
+    group, k = closure(gens, degree), 0
+    while len(group) > 1:
+        commutators = {x * y * x.inverse() * y.inverse() for x in group for y in group}
+        derived = closure(commutators, degree)
+        if derived == group:
+            return None
+        group, k = derived, k + 1
+    return k
+
+
+permutation_lists = st.integers(1, 5).flatmap(
+    lambda degree: st.lists(
+        st.permutations(range(degree)).map(lambda p: Permutation(tuple(p))),
+        min_size=1,
+        max_size=3,
+    )
+)
+
+
+@settings(max_examples=40)
+@given(permutation_lists)
+def test_derived_chain_reaches_a_point_at_the_derived_length(gens):
+    # D_k is the value set of the k-fold derived word, which generates G^(k)
+    # and holds the identity, so D_k is a point exactly when G^(k) is trivial
+    m = commutator_magma(permutation_group(gens))
+    length = derived_length(gens, len(gens[0].images))
+    assert derived_chain(m).solvable_depth == length
+    assert (is_solvable(m) is not None) == (length is not None)
+
+
+def test_complete_tree_images_are_the_derived_chain(builtins):
+    # Im of the complete tree of depth k is D_k, the chain's last level past
+    # its fixpoint; at k = 3 the tree has 8 leaves, 60^8 tuples on a5
+    for name, m in builtins.items():
+        chain = derived_chain(m).subsets
+        for k in (1, 2, 3):
+            image = restricted_image(m, complete_tree(k), {})
+            assert image == set(chain[min(k, len(chain) - 1)]), (name, k)
 
 
 # ---------------------------------------------------------------------------
