@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Layer benchmark of the magma sweeps, written to one JSON file.
+"""Layer benchmark of the magma sweeps and the rewrite search, written to
+one JSON file.
 
-Times four kinds of row, each over several repeats:
+Times five kinds of row, each over several repeats:
 
 * ``search_laws`` by table size and arity, on cyclic groups (associative:
   every tree stays in one class, so the whole space is swept) and on seeded
@@ -11,25 +12,32 @@ Times four kinds of row, each over several repeats:
   whole space;
 * the five-variable-law (FVL) core check of ``satisfies_eventually`` on
   a5_commutator and on pre_sl2 x Z_16, where it answers ``never``;
-* ``assocf magma status --json`` on every fixture, in process.
+* ``assocf magma status --json`` on every fixture, in process;
+* the rewrite search: ``derivable`` on a 12-leaf x1 negative, whose class
+  has 1,430 trees, and on a 10-leaf associativity positive, and
+  ``eventually_derivable`` of r1/r2 under the x1 law at 3 carets.
 
 Each row records its parameters, the median and min wall time, raw and
 scaled to a reference host speed by bench/hostspeed.py, and a work counter:
 tree evaluations (the count EVALUATION_GUARD bounds) for the law search,
-tuples read for ``satisfies`` and the core check, and elements for a status.
+tuples read for ``satisfies`` and the core check, elements for a status,
+and BFS states (trees put on a search's frontier) for the rewrite rows.
 
     python scripts/bench.py --quick --out BENCH.json
-    python scripts/bench.py --quick --out BENCH.json --src PARENT/src --label before
+    python scripts/bench.py --quick --out BENCH.json --before PARENT/src
 
-A row's timings are stored under ``--label`` (default ``after``), and the
-rows already in ``--out`` are kept, so measuring two checkouts in turn
-gives before/after rows in one file.  ``--src`` picks the assocf sources
-to measure (default: this checkout's).  ``--quick`` takes 10 repeats a row
-instead of 40; a row stops after 3 once it has taken 2 s.
+This checkout's timings are stored under ``after``.  ``--before`` names
+another checkout's assocf sources, timed under ``before`` in the same
+process: the two sides take turns call by call, the first side changing
+from one repeat to the next, so host drift falls on both alike.  Rows
+already in ``--out`` are kept.  ``--quick`` takes 10 repeats a side
+instead of 40; a row stops after 3 once it has taken 2 s a side.
 """
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import math
@@ -57,15 +65,41 @@ SEARCHES = (
     ("random", 13, 4),
     ("random", 60, 4),
 )
+X1_LAW = "(. ((. .) .)) = (. (. (. .)))"
+COMB_9 = "(. (. (. (. (. (. (. (. .))))))))"
+# (name, law, lhs, rhs, budget or None for derivable).  The x1 class of a
+# tree is fixed by the right subtrees along its left arm, so the x1
+# negative's class is the 1,430 shapes of its 9-leaf subtree, which sits at
+# depth 3 as in the rewrite benchmark's widest signatures.
+REWRITES = (
+    ("derivable", X1_LAW,
+     f"(((. {COMB_9}) .) .)", "(((((((((((. .) .) .) .) .) .) .) .) .) .) .)", None),
+    ("derivable", "((. .) .) = (. (. .))",
+     "((. .) (((. .) (((. .) .) (. .))) .))", "(((. (. (. .))) (((. .) .) (. .))) .)", None),
+    ("eventually_derivable", X1_LAW, "((. .) (. (. .)))", "((. (. .)) (. .))", 3),
+)
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="10 repeats a row, not 40")
     parser.add_argument("--out", default="BENCH.json", help="JSON file to update")
-    parser.add_argument("--label", default="after", help="key for this run's timings")
-    parser.add_argument("--src", default=str(REPO / "src"), help="assocf sources to time")
+    parser.add_argument("--before", help="assocf sources to time against this checkout's")
     return parser.parse_args(argv)
+
+
+def load(src, name):
+    """The assocf package under src, imported as `name` with the modules the
+    rows use, so two checkouts can be loaded side by side."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "assocf" / "__init__.py", submodule_search_locations=[str(src / "assocf")]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("cli", "magmas", "rewriting", "trees", "zoo"):
+        importlib.import_module(f"{name}.{module}")
+    return package
 
 
 def product(a, b, magmas):
@@ -96,6 +130,30 @@ def tuples_read(magmas, sweep):
     finally:
         magmas._block_axes = block_axes
     return sum(read)
+
+
+def bfs_states(rewriting, search):
+    """Run search() and count the trees its breadth-first searches put on
+    their frontiers: each frontier is a deque that starts with the search's
+    source and takes every tree found after it but a target returned on."""
+    states = []
+
+    class Frontier(rewriting.deque):
+        def __init__(self, trees):
+            super().__init__(trees)
+            states.append(len(self))
+
+        def append(self, tree):
+            states.append(1)
+            super().append(tree)
+
+    frontier = rewriting.deque
+    rewriting.deque = Frontier
+    try:
+        search()
+    finally:
+        rewriting.deque = frontier
+    return sum(states)
 
 
 def rows(assocf):
@@ -144,29 +202,60 @@ def rows(assocf):
             return size
 
         out.append(("e2e.magma_status", {"table": path.stem}, "elements", status))
+    rewriting, parse = assocf.rewriting, assocf.trees.parse_tree
+    for verb, law, lhs, rhs, budget in REWRITES:
+        variety = rewriting.VarietyPresentation((magmas.parse_law(law),))
+        args = (parse(lhs), parse(rhs), variety) + (() if budget is None else (budget,))
+
+        def search(verb=getattr(rewriting, verb), args=args):
+            verb(*args)
+
+        # counted in a run of its own, so no timed run pays for the counter
+        states = bfs_states(rewriting, search)
+
+        def timed(search=search, states=states):
+            search()
+            return states
+
+        params = {"law": law, "lhs": lhs, "rhs": rhs}
+        if budget is not None:
+            params["budget"] = budget
+        out.append((f"rewriting.{verb}", params, "BFS states", timed))
     return out
 
 
-def measure(call, repeats, clock):
-    """Median and min of up to `repeats` timed calls, raw and in reference
-    seconds, with the call's work count (the same on every call)."""
-    raw, scaled = [], []
+def measure(calls, repeats, clock):
+    """Median and min of up to `repeats` timed calls a side, raw and in
+    reference seconds, with the call's work count (the same on every call).
+
+    `calls` maps each side's label to its call.  The sides take turns, and
+    the side that goes first rotates from one repeat to the next.
+    """
+    labels = list(calls)
+    raw = {label: [] for label in labels}
+    scaled = {label: [] for label in labels}
+    work = {}
     clock.restart()
-    while len(raw) < repeats:
-        clock.start()
-        work = call()
-        seconds, reference = clock.stop()
-        raw.append(seconds)
-        scaled.append(reference)
-        if len(raw) >= 3 and sum(raw) > SLOW_ROW_S:
+    for turn in range(repeats):
+        shift = turn % len(labels)
+        for label in labels[shift:] + labels[:shift]:
+            clock.start()
+            work[label] = calls[label]()
+            seconds, reference = clock.stop()
+            raw[label].append(seconds)
+            scaled[label].append(reference)
+        if turn >= 2 and min(sum(times) for times in raw.values()) > SLOW_ROW_S:
             break
     return {
-        "repeats": len(raw),
-        "median_s": statistics.median(raw),
-        "min_s": min(raw),
-        "median_ref_s": statistics.median(scaled),
-        "min_ref_s": min(scaled),
-        "work": work,
+        label: {
+            "repeats": len(raw[label]),
+            "median_s": statistics.median(raw[label]),
+            "min_s": min(raw[label]),
+            "median_ref_s": statistics.median(scaled[label]),
+            "min_ref_s": min(scaled[label]),
+            "work": work[label],
+        }
+        for label in labels
     }
 
 
@@ -176,14 +265,18 @@ def key(name, params):
 
 def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    src = pathlib.Path(args.src).resolve()
-    if not (src / "assocf" / "__init__.py").is_file():
-        print(f"error: no assocf sources under {src}")
-        return 2
-    sys.path.insert(0, str(src))
-    import assocf.cli
-    import assocf.magmas
-    import assocf.zoo
+    sources = {"after": REPO / "src"}
+    if args.before is not None:
+        sources["before"] = pathlib.Path(args.before).resolve()
+    for src in sources.values():
+        if not (src / "assocf" / "__init__.py").is_file():
+            print(f"error: no assocf sources under {src}")
+            return 2
+    side_rows = {
+        label: {key(name, params): (name, params, unit, call)
+                for name, params, unit, call in rows(load(src, f"assocf_{label}"))}
+        for label, src in sources.items()
+    }
 
     out = pathlib.Path(args.out)
     report = json.loads(out.read_text()) if out.is_file() else {"rows": []}
@@ -191,13 +284,15 @@ def main(argv=None):
     table = {key(r["name"], r["params"]): r for r in report["rows"]}
     clock = hostspeed.HostClock()
     repeats = 10 if args.quick else 40
-    for name, params, unit, call in rows(assocf):
+    for row_key, (name, params, unit, _) in side_rows["after"].items():
+        calls = {label: found[row_key][3] for label, found in side_rows.items() if row_key in found}
         row = table.setdefault(
-            key(name, params),
+            row_key,
             {"name": name, "layer": name.split(".")[0], "params": params, "unit": unit},
         )
-        row[args.label] = measure(call, repeats, clock)
-        print(name, params, f"{row[args.label]['median_s'] * 1e3:.2f} ms")
+        row.update(measure(calls, repeats, clock))
+        times = ", ".join(f"{label} {row[label]['median_s'] * 1e3:.2f} ms" for label in calls)
+        print(name, params, times)
     report["rows"] = list(table.values())
     out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -30,6 +30,13 @@ LEAF_CAP = 14
 # at depth 4 (63^4 = 15,752,961).
 CLOSURE_GUARD = 100_000
 
+# Most leaves of a subtree whose neighbour list a search keeps.  Small
+# subtrees recur in many trees of a rewrite class, while a large one is
+# mostly new in each, so its list would be kept for nothing.  The memo
+# holds at most one list per tree of up to 6 leaves, 65 in all, however
+# large the search.
+MEMO_LEAVES = 6
+
 
 @dataclass(frozen=True)
 class VarietyPresentation:
@@ -162,36 +169,46 @@ def _rules(variety):
     return tuple(out)
 
 
-def _rewrites(t, rules, vertex=""):
-    """Every rewrite of t as (new tree, vertex, rule, captured), in canonical
-    order: vertex preorder, then law index, then forward before backward.
+def _neighbors(t, rules, memo):
+    """(every rewrite of t, t's leaf count).
+
+    The rewritten trees come in canonical order: vertex preorder, then law
+    index, then forward before backward, and a tree two rewrites reach
+    comes twice.  A rewrite below the root happens inside one child, so
+    t's list is its root rewrites, then the left child's list under
+    (., right), then the right child's under (left, .).  memo serves one
+    set of rules and keeps the answers for trees of at most MEMO_LEAVES
+    leaves.
 
     A leaf matches no rule: a non-trivial law has a caret at the root of
     both sides, since its sides have equal leaf counts.
     """
     if t == LEAF:
-        return []
+        return [], 1
+    known = memo.get(t)
+    if known is not None:
+        return known
     out = []
     for rule in rules:
         captured = trees.capture(rule.src, t)
         if captured is not None:
-            out.append((trees.graft(rule.dst, captured), vertex, rule, captured))
+            out.append(trees.graft(rule.dst, captured))
     left, right = t
-    out += [
-        ((new, right), at, rule, captured)
-        for new, at, rule, captured in _rewrites(left, rules, vertex + "0")
-    ]
-    out += [
-        ((left, new), at, rule, captured)
-        for new, at, rule, captured in _rewrites(right, rules, vertex + "1")
-    ]
-    return out
+    below, left_leaves = _neighbors(left, rules, memo)
+    out += [(new, right) for new in below]
+    below, right_leaves = _neighbors(right, rules, memo)
+    out += [(left, new) for new in below]
+    leaves = left_leaves + right_leaves
+    if leaves <= MEMO_LEAVES:
+        memo[t] = out, leaves
+    return out, leaves
 
 
-def _search(p, q, variety, rules, root_split_pruning):
+def _search(p, q, variety, rules, root_split_pruning, memo):
     """(proof or None, the rewrite class of p when the BFS exhausted it).
 
-    The class is None whenever the answer came without a full BFS.
+    The class is None whenever the answer came without a full BFS.  memo
+    holds neighbour lists for these rules (see _neighbors).
     """
     if leaf_count(p) != leaf_count(q):
         raise ValueError("derivability needs equal leaf counts")
@@ -208,42 +225,65 @@ def _search(p, q, variety, rules, root_split_pruning):
             return None, None
     if p == q:
         return (), None
-    # parents[t] is (previous tree, its rewrite into t); steps are built
-    # only for the proof that is returned
+    # parents[t] is the tree whose rewrite first reached t; the steps are
+    # recovered only along the proof that is returned
     parents = {p: None}
     frontier = deque([p])
     while frontier:
         t = frontier.popleft()
-        for hop in _rewrites(t, rules):
-            neighbor = hop[0]
+        for neighbor in _neighbors(t, rules, memo)[0]:
             if neighbor in parents:
                 continue
-            parents[neighbor] = (t, hop)
+            parents[neighbor] = t
             if neighbor == q:
-                return _proof(parents, q), None
+                return _proof(parents, q, rules), None
             frontier.append(neighbor)
     return None, parents
 
 
-def _proof(parents, q):
+def _proof(parents, q, rules):
+    """The steps along the parents chain from its root to q."""
     steps = []
     at = q
     while parents[at] is not None:
-        at, (_, vertex, rule, captured) = parents[at]
-        steps.append(
-            RewriteStep(vertex, rule.law, rule.law_index, rule.forward, captured)
-        )
+        steps.append(_step(parents[at], at, rules))
+        at = parents[at]
     return tuple(reversed(steps))
+
+
+def _step(prev, nxt, rules):
+    """The first rewrite of prev into nxt in canonical order.
+
+    A rewrite changes only the subtree at its vertex, so it can give nxt
+    only at a vertex whose subtree holds every place where prev and nxt
+    differ.  Those vertices lie on one path down from the root, and
+    preorder meets them from the root down.
+    """
+    vertex = ""
+    while True:
+        for rule in rules:
+            captured = trees.capture(rule.src, prev)
+            if captured is not None and trees.graft(rule.dst, captured) == nxt:
+                return RewriteStep(
+                    vertex, rule.law, rule.law_index, rule.forward, captured
+                )
+        # nothing gives nxt here, so the rewrite lies inside the one child
+        # in which the two trees differ
+        side = 0 if prev[1] == nxt[1] else 1
+        vertex += "01"[side]
+        prev, nxt = prev[side], nxt[side]
 
 
 def derivable(p, q, variety, *, root_split_pruning=False):
     """Proof (tuple of RewriteStep) rewriting p into q, or None.
 
-    The search space is all trees with p's leaf count, so exhaustion of the
-    reachable class certifies non-derivability at this leaf count (not at
-    expansions; see eventually_derivable).
+    The proof is the first shortest one in canonical order, compared step
+    by step: vertex preorder, then law index, then forward before
+    backward.  The search space is all trees with p's leaf count, so
+    exhaustion of the reachable class certifies non-derivability at this
+    leaf count (not at expansions; see eventually_derivable).
     """
-    proof, _ = _search(p, q, variety, _rules(variety), root_split_pruning)
+    proof, _ = _search(p, q, variety, _rules(variety), root_split_pruning, {})
     return proof
 
 
@@ -320,6 +360,7 @@ def eventually_derivable(p, q, variety, budget=3, *, root_split_pruning=False):
         raise ValueError("derivability needs equal leaf counts")
     pairs = expansion_frontier(p, q, budget)
     rules = _rules(variety)
+    memo = {}  # neighbour lists, shared by every pair: the rules are fixed
     labels = {}  # tree -> number of its exhausted rewrite class
     classes = 0
     checked = 0
@@ -328,7 +369,9 @@ def eventually_derivable(p, q, variety, budget=3, *, root_split_pruning=False):
         label = labels.get(lhs)
         if label is not None and labels.get(rhs) != label:
             continue
-        proof, exhausted = _search(lhs, rhs, variety, rules, root_split_pruning)
+        proof, exhausted = _search(
+            lhs, rhs, variety, rules, root_split_pruning, memo
+        )
         if proof is not None:
             return DerivabilityResult(
                 "holds",

@@ -425,15 +425,6 @@ def reference_eventually_derivable(p, q, variety, budget, root_split_pruning=Fal
     return ("fails-up-to", None, None, checked)
 
 
-def fast_neighbors(t, variety):
-    return [
-        (grown, RewriteStep(vertex, rule.law, rule.law_index, rule.forward, captured))
-        for grown, vertex, rule, captured in rewriting._rewrites(
-            t, rewriting._rules(variety)
-        )
-    ]
-
-
 def sized_trees(lo, hi):
     return st.integers(lo, hi).flatmap(
         lambda n: st.tuples(st.integers(0, 2**31), st.integers(0, 2**31)).map(
@@ -447,8 +438,65 @@ def sized_trees(lo, hi):
 @given(st.sampled_from(sorted(VARIETIES)), sized_trees(1, 9))
 def test_neighbors_match_the_reference(name, pair):
     variety = VARIETIES[name]
+    rules = rewriting._rules(variety)
     for t in pair:
-        assert fast_neighbors(t, variety) == reference_neighbors(t, variety)
+        hops = reference_neighbors(t, variety)
+        assert rewriting._neighbors(t, rules, {})[0] == [grown for grown, _ in hops]
+        # a proof step is the first rewrite that reaches its tree
+        first = {}
+        for grown, step in hops:
+            first.setdefault(grown, step)
+        for grown, step in first.items():
+            assert rewriting._step(t, grown, rules) == step
+
+
+def random_laws(seeds):
+    laws = []
+    for n, a, b in seeds:
+        lhs = random_tree(random.Random(a), n)
+        rhs = random_tree(random.Random(b), n)
+        laws.append(Law(lhs, rhs))
+    return VarietyPresentation(tuple(laws))
+
+
+random_law_varieties = st.lists(
+    st.tuples(st.integers(3, 5), st.integers(0, 2**31), st.integers(0, 2**31)),
+    min_size=1,
+    max_size=2,
+).map(random_laws)
+
+# one memo per rule set for the whole run, so every tree drawn reads the
+# entries the trees before it left
+NEIGHBOR_MEMOS = {}
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(st.sampled_from(sorted(VARIETIES)).map(VARIETIES.get), random_law_varieties),
+    st.lists(sized_trees(1, 12), min_size=1, max_size=3),
+)
+def test_memoised_neighbors_match_the_reference(variety, pairs):
+    rules = rewriting._rules(variety)
+    memo = NEIGHBOR_MEMOS.setdefault(rules, {})
+    for t in itertools.chain.from_iterable(pairs):
+        # t's neighbours share most subtrees with t, so they read its entries
+        grown = [u for u, _ in reference_neighbors(t, variety)]
+        for u in [t] + grown:
+            expected = [v for v, _ in reference_neighbors(u, variety)]
+            assert rewriting._neighbors(u, rules, memo) == (expected, trees.leaf_count(u))
+
+
+def test_a_search_keeps_only_small_subtrees_in_its_memo():
+    # the x1 class of p is the 1,430 shapes of its 9-leaf subtree, and q,
+    # a left comb, lies outside it
+    p = trees.parse_tree("(((. (. (. (. (. (. (. (. (. .))))))))) .) .)")
+    q = trees.reflect(right_comb(12))
+    memo = {}
+    proof, walked = rewriting._search(
+        p, q, X1_VARIETY, rewriting._rules(X1_VARIETY), False, memo
+    )
+    assert proof is None and len(walked) == 1430
+    assert memo and max(map(trees.leaf_count, memo)) == rewriting.MEMO_LEAVES
 
 
 @settings(max_examples=60)
@@ -475,22 +523,9 @@ def test_eventually_derivable_matches_the_reference(name, pair, budget, prune):
     assert (res.kind, res.expansion, res.proof, res.pairs_checked) == expected
 
 
-def random_laws(seeds):
-    laws = []
-    for n, a, b in seeds:
-        lhs = random_tree(random.Random(a), n)
-        rhs = random_tree(random.Random(b), n)
-        laws.append(Law(lhs, rhs))
-    return VarietyPresentation(tuple(laws))
-
-
 @settings(max_examples=80)
 @given(
-    st.lists(
-        st.tuples(st.integers(3, 5), st.integers(0, 2**31), st.integers(0, 2**31)),
-        min_size=1,
-        max_size=2,
-    ).map(random_laws),
+    random_law_varieties,
     sized_trees(2, 5),
     st.integers(0, 2),
 )
@@ -532,6 +567,24 @@ def test_eventually_derivable_matches_the_reference_on_all_5_leaf_pairs(name):
 def test_eventually_derivable_matches_the_reference_on_the_example_pair():
     res = eventually_derivable(R1, R2, X1_VARIETY, 3)
     expected = reference_eventually_derivable(R1, R2, X1_VARIETY, 3)
+    assert (res.kind, res.expansion, res.proof, res.pairs_checked) == expected
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ("((. .) ((. .) .))", "(. (. ((. .) .)))"),
+        ("((. (. (. .))) .)", "(. (((. .) .) .))"),
+        ("(((. .) .) (. (. .)))", "(((. (. .)) .) (. .))"),
+        ("(((. .) .) ((. .) .))", "((. .) (((. .) .) .))"),
+    ],
+)
+def test_eventually_derivable_matches_the_reference_on_x1_pairs_at_budget_3(p, q):
+    # 5- and 6-leaf pairs whose failing x1 searches walk 1,200-2,500 trees
+    # through one memo, as the pairs of the rewrite benchmark do
+    p, q = trees.parse_tree(p), trees.parse_tree(q)
+    res = eventually_derivable(p, q, X1_VARIETY, 3)
+    expected = reference_eventually_derivable(p, q, X1_VARIETY, 3)
     assert (res.kind, res.expansion, res.proof, res.pairs_checked) == expected
 
 

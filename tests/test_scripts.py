@@ -41,12 +41,23 @@ def test_bench_measures_one_row():
     # a smoke test of the row list and the timer: no timing is checked
     import assocf.cli
     import assocf.magmas
+    import assocf.rewriting
+    import assocf.trees
     import assocf.zoo
 
     script = load_script("bench")
     rows = {(name, json.dumps(params)): call for name, params, _, call in script.rows(assocf)}
+    clock = script.hostspeed.HostClock()
     call = rows["magmas.fvl_core_check", json.dumps({"table": "pre_sl2 x Z_16", "size": 64})]
-    row = script.measure(call, 1, script.hostspeed.HostClock())
+    row = script.measure({"after": call}, 1, clock)["after"]
     # the work is tuples read: at most 8 blocks of 2^16
     assert row["repeats"] == 1 and 1 <= row["work"] <= 8 * 2**16
     assert 0 < row["min_s"] <= row["median_s"] and row["min_ref_s"] > 0
+    # the x1 negative walks its whole class, the 1,430 shapes of a 9-leaf
+    # subtree, and two sides take turns for the same number of repeats
+    (negative,) = [
+        call for (name, params), call in rows.items()
+        if name == "rewriting.derivable" and json.loads(params)["law"] == script.X1_LAW
+    ]
+    sides = script.measure({"before": negative, "after": negative}, 2, clock)
+    assert [(side["repeats"], side["work"]) for side in sides.values()] == [(2, 1430)] * 2
