@@ -2,7 +2,7 @@
 """Layer benchmark of the magma sweeps and the rewrite search, written to
 one JSON file.
 
-Times five kinds of row, each over several repeats:
+Times six kinds of row, each over several repeats:
 
 * ``search_laws`` by table size and arity, on cyclic groups (associative:
   every tree stays in one class, so the whole space is swept) and on seeded
@@ -15,13 +15,16 @@ Times five kinds of row, each over several repeats:
 * ``assocf magma status --json`` on every fixture, in process;
 * the rewrite search: ``derivable`` on a 12-leaf x1 negative, whose class
   has 1,430 trees, and on a 10-leaf associativity positive, and
-  ``eventually_derivable`` of r1/r2 under the x1 law at 3 carets.
+  ``eventually_derivable`` of r1/r2 under the x1 law at 3 carets;
+* ``zoo.permutation_group`` of the symmetric group S6, closure and
+  composition table.
 
 Each row records its parameters, the median and min wall time, raw and
 scaled to a reference host speed by bench/hostspeed.py, and a work counter:
 tree evaluations (the count EVALUATION_GUARD bounds) for the law search,
 tuples read for ``satisfies`` and the core check, elements for a status,
-and BFS states (trees put on a search's frontier) for the rewrite rows.
+BFS states (trees put on a search's frontier) for the rewrite rows, and
+table entries for the group table.
 
     python scripts/bench.py --quick --out BENCH.json
     python scripts/bench.py --quick --out BENCH.json --before PARENT/src
@@ -221,6 +224,13 @@ def rows(assocf):
         if budget is not None:
             params["budget"] = budget
         out.append((f"rewriting.{verb}", params, "BFS states", timed))
+    perm = assocf.zoo.Permutation
+    s6 = (perm.from_cycles(6, (1, 2)), perm.from_cycles(6, (1, 2, 3, 4, 5, 6)))
+
+    def group(s6=s6):
+        return len(assocf.zoo.permutation_group(s6)) ** 2
+
+    out.append(("zoo.permutation_group", {"group": "S6"}, "table entries", group))
     return out
 
 

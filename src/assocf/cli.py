@@ -285,7 +285,7 @@ def _cmd_variety(args):
     variety = _load_variety_file(args.file)
     if args.action == "derivable":
         p, q = parse_tree(args.lhs), parse_tree(args.rhs)
-        proof = rewriting.derivable(p, q, variety, root_split_pruning=args.prune)
+        proof = rewriting.derivable(p, q, variety)
         payload = {"derivable": proof is not None}
         if proof is not None:
             payload["proof"] = _proof_payload(p, proof)
@@ -457,11 +457,6 @@ def build_parser():
     sub.add_argument("file")
     sub.add_argument("lhs")
     sub.add_argument("rhs")
-    sub.add_argument(
-        "--prune",
-        action="store_true",
-        help="certify by root leaf split when the laws preserve it",
-    )
     _add_common(sub)
     sub = variety.add_parser("member")
     sub.add_argument("file", help="variety file; each law is a generator pair")

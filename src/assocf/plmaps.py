@@ -138,7 +138,7 @@ class PLMap:
 
     Breakpoints are (x, y) pairs of dyadics from (0,0) to (1,1), strictly
     increasing in both coordinates, every slope a power of 2, and no point
-    collinear with its neighbours.  The constructor validates and prunes.
+    collinear with its neighbours.  The constructor validates and drops collinear points.
     """
 
     __slots__ = ("points", "_xs")

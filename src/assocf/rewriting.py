@@ -4,9 +4,11 @@ Laws here keep every variable exactly once, in order, on both sides, so a
 rewrite step never changes the leaf count of the host tree.  That makes
 derivability at a fixed leaf count a finite breadth-first search, and
 "derivable after some simultaneous expansion" a bounded outer search over
-expanded pairs.  On top of that sit the shift operators and a bounded
-closure generator for shift-invariant subgroups of F, which turn subgroup
-membership questions into derivability questions.
+expanded pairs.  There is one search, with nothing to switch on: every
+negative at a fixed leaf count is the whole rewrite class of the first
+tree, exhausted without meeting the second.  On top of that sit the shift
+operators and a bounded closure generator for shift-invariant subgroups of
+F, which turn subgroup membership questions into derivability questions.
 """
 
 from __future__ import annotations
@@ -122,26 +124,6 @@ def apply_step(t, step):
     return trees.replace_at(t, step.vertex, instantiate(dst, step.substitution))
 
 
-def _root_split(t):
-    if trees.is_leaf(t):
-        return (1, 0)
-    return (leaf_count(t[0]), leaf_count(t[1]))
-
-
-def _preserves_root_split(variety):
-    """True when no law application can change a root leaf split.
-
-    A rewrite below the root never changes the split.  A rewrite at the
-    root keeps it iff the law's sides put the same number of variables in
-    their left subtrees (variables are positional, so substitution sizes
-    transfer unchanged).
-    """
-    for law in variety.laws:
-        if _root_split(law.lhs)[0] != _root_split(law.rhs)[0]:
-            return False
-    return True
-
-
 class _Rule(NamedTuple):
     """One direction of a law, compiled for the search."""
 
@@ -204,25 +186,25 @@ def _neighbors(t, rules, memo):
     return out, leaves
 
 
-def _search(p, q, variety, rules, root_split_pruning, memo):
+def _leaves(p, q):
+    """The leaf count p and q share."""
+    leaves = leaf_count(p)
+    if leaves != leaf_count(q):
+        raise ValueError("derivability needs equal leaf counts")
+    return leaves
+
+
+def _check_cap(leaves):
+    if leaves > LEAF_CAP:
+        raise BudgetExceeded(f"{leaves} leaves exceeds the search cap {LEAF_CAP}")
+
+
+def _search(p, q, rules, memo):
     """(proof or None, the rewrite class of p when the BFS exhausted it).
 
-    The class is None whenever the answer came without a full BFS.  memo
-    holds neighbour lists for these rules (see _neighbors).
+    The class is None when p == q or a proof was found.  memo holds
+    neighbour lists for these rules (see _neighbors).
     """
-    if leaf_count(p) != leaf_count(q):
-        raise ValueError("derivability needs equal leaf counts")
-    if leaf_count(p) > LEAF_CAP:
-        raise BudgetExceeded(
-            f"{leaf_count(p)} leaves exceeds the search cap {LEAF_CAP}"
-        )
-    if root_split_pruning:
-        if not _preserves_root_split(variety):
-            raise ValueError(
-                "root-split pruning needs laws that fix the root leaf split"
-            )
-        if _root_split(p) != _root_split(q):
-            return None, None
     if p == q:
         return (), None
     # parents[t] is the tree whose rewrite first reached t; the steps are
@@ -274,7 +256,7 @@ def _step(prev, nxt, rules):
         prev, nxt = prev[side], nxt[side]
 
 
-def derivable(p, q, variety, *, root_split_pruning=False):
+def derivable(p, q, variety):
     """Proof (tuple of RewriteStep) rewriting p into q, or None.
 
     The proof is the first shortest one in canonical order, compared step
@@ -283,7 +265,8 @@ def derivable(p, q, variety, *, root_split_pruning=False):
     exhaustion of the reachable class certifies non-derivability at this
     leaf count (not at expansions; see eventually_derivable).
     """
-    proof, _ = _search(p, q, variety, _rules(variety), root_split_pruning, {})
+    _check_cap(_leaves(p, q))
+    proof, _ = _search(p, q, _rules(variety), {})
     return proof
 
 
@@ -312,6 +295,7 @@ def expansion_frontier(lhs, rhs, budget):
 
 
 def _frontier(lhs, rhs, budget):
+    leaves = leaf_count(lhs)  # each level adds one leaf
     seen = {(lhs, rhs)}
     frontier = [(lhs, rhs, ())]
     for level in range(budget + 1):
@@ -321,7 +305,7 @@ def _frontier(lhs, rhs, budget):
             return
         grown = []
         for lhs, rhs, applied in frontier:
-            for i in range(1, leaf_count(lhs) + 1):
+            for i in range(1, leaves + level + 1):
                 key = (trees.expand(lhs, i), trees.expand(rhs, i))
                 if key not in seen:
                     seen.add(key)
@@ -347,7 +331,7 @@ class DerivabilityResult:
         return self.kind == "holds"
 
 
-def eventually_derivable(p, q, variety, budget=3, *, root_split_pruning=False):
+def eventually_derivable(p, q, variety, budget=3):
     """Run derivable on every simultaneous expansion of (p, q), breadth
     first by added carets, up to the budget.
 
@@ -356,22 +340,20 @@ def eventually_derivable(p, q, variety, budget=3, *, root_split_pruning=False):
     lies in a labelled class and whose rhs does not is answered without a
     search.  Such an lhs passed the leaf cap when its class was searched.
     """
-    if leaf_count(p) != leaf_count(q):
-        raise ValueError("derivability needs equal leaf counts")
+    leaves = _leaves(p, q)
     pairs = expansion_frontier(p, q, budget)
     rules = _rules(variety)
     memo = {}  # neighbour lists, shared by every pair: the rules are fixed
     labels = {}  # tree -> number of its exhausted rewrite class
     classes = 0
     checked = 0
-    for _, lhs, rhs, applied in pairs:
+    for level, lhs, rhs, applied in pairs:
         checked += 1
         label = labels.get(lhs)
         if label is not None and labels.get(rhs) != label:
             continue
-        proof, exhausted = _search(
-            lhs, rhs, variety, rules, root_split_pruning, memo
-        )
+        _check_cap(leaves + level)
+        proof, exhausted = _search(lhs, rhs, rules, memo)
         if proof is not None:
             return DerivabilityResult(
                 "holds",

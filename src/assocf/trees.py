@@ -159,21 +159,6 @@ def reflect(t):
     return (reflect(t[1]), reflect(t[0]))
 
 
-def leaf_addresses(t):
-    """Addresses of the leaves in left-to-right order."""
-    out = []
-
-    def walk(t, prefix):
-        if t == LEAF:
-            out.append(prefix)
-        else:
-            walk(t[0], prefix + "0")
-            walk(t[1], prefix + "1")
-
-    walk(t, "")
-    return tuple(out)
-
-
 def vertices(t):
     """All vertex addresses in preorder, which is lexicographic order."""
     out = []
@@ -460,12 +445,14 @@ def expansion_path(target, base):
     """
     if not is_expansion(target, base):
         return None
+    # a leaf of t is a leaf of the target iff the two span the same interval
+    kept = set(leaf_intervals(target))
     applied = []
     t = base
     while t != target:
-        for i, addr in enumerate(leaf_addresses(t), start=1):
-            if subtree_at(target, addr) != LEAF:
-                applied.append(i)
-                t = expand(t, i)
-                break
+        i = next(
+            i for i, leaf in enumerate(leaf_intervals(t), 1) if leaf not in kept
+        )
+        applied.append(i)
+        t = expand(t, i)
     return ExpansionWord.from_applied(applied)

@@ -4,20 +4,28 @@ Everything here returns an immutable Magma built from scratch: the
 four-element tables, permutation groups and their commutator magmas,
 the sixteen signed octonion units, the signed sl2 basis fragment, and cyclic
 addition.  BUILTINS maps stable names to builders for the CLI.
+
+A permutation group's table is one numpy gather of |G|^2 x degree point
+images, bounded by PERMUTATION_CAP: the closure stops before a group
+whose gather would pass it, so no larger table is ever allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import isqrt
 
 import numpy as np
 
 from .errors import BudgetExceeded
 from .magmas import Magma
 
-# Most elements permutation_group closes over before it gives up.
-PERMUTATION_CAP = 10080
+# Most point images a permutation group's table may compose, |G|^2 x degree
+# (2^24, 16.8 M), so a table holds at most 2^24 / degree entries.  S6 (720
+# elements of degree 6, 518,400 entries) composes 3.1 M; at degree 8 the
+# bound allows 1,448 elements.
+PERMUTATION_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -80,8 +88,8 @@ def permutation_group(generators):
     with cycle-notation names.
 
     Elements are ordered lexicographically by image tuple, which puts the
-    identity first.  A group of more than PERMUTATION_CAP elements raises
-    BudgetExceeded.
+    identity first.  A group whose |G|^2 x degree passes PERMUTATION_CAP
+    raises BudgetExceeded while it is closed, before its table is built.
     """
     gens = list(generators)
     if not gens:
@@ -89,6 +97,7 @@ def permutation_group(generators):
     degree = len(gens[0].images)
     if any(len(g.images) != degree for g in gens):
         raise ValueError("generators must act on the same set")
+    most = isqrt(PERMUTATION_CAP // degree)  # elements
     ident = Permutation.identity(degree)
     seen = {ident.images}
     queue = [ident]
@@ -97,18 +106,19 @@ def permutation_group(generators):
         for g in gens:
             q = p * g
             if q.images not in seen:
-                if len(seen) >= PERMUTATION_CAP:
+                if len(seen) >= most:
                     raise BudgetExceeded(
-                        f"group closure exceeds cap {PERMUTATION_CAP}"
+                        f"group closure exceeds cap {PERMUTATION_CAP} "
+                        f"point images ({most} elements of degree {degree})"
                     )
                 seen.add(q.images)
                 queue.append(q)
     ordered = sorted(seen)
-    index = {images: i for i, images in enumerate(ordered)}
-    table = [
-        [index[tuple(p[v] for v in q)] for q in ordered]  # p after q
-        for p in ordered
-    ]
+    # big-endian points, so each row's bytes compare as its image tuple does
+    points = np.array(ordered, np.min_scalar_type(degree - 1).newbyteorder(">"))
+    rows = points.view(f"V{points.itemsize * degree}").ravel()
+    composed = np.take(points, points, axis=1)  # [p, q] is p after q
+    table = np.searchsorted(rows, composed.view(rows.dtype)[..., 0])
     return Magma([cycle_notation(images) for images in ordered], table)
 
 

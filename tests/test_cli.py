@@ -332,8 +332,12 @@ def test_a_closure_past_its_guard_exits_3_at_once(json_flag, capsys):
         ["variety", "member", "fixtures/x1_law.variety", "x1", "--cap", "5"],
         ["variety", "closure", "fixtures/x1_law.variety", "1", "--word-cap", "1"],
         ["f", "word", "x0", "--ab"],
+        [
+            "variety", "derivable", "fixtures/x1_law.variety",
+            "((. .) (. (. .)))", "((. (. .)) (. .))", "--prune",
+        ],
     ],
-    ids=["threads", "cap", "word-cap", "ab"],
+    ids=["threads", "cap", "word-cap", "ab", "prune"],
 )
 def test_removed_flags_are_usage_errors(argv, capsys):
     code, captured = cli.run(argv), capsys.readouterr()

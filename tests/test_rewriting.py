@@ -227,21 +227,6 @@ def test_format_proof_lists_each_step():
     assert lines[-1].endswith(trees.format_tree(R2))
 
 
-# --- pruning ------------------------------------------------------------------------------
-
-
-def test_root_split_pruning_rejects_unsuitable_varieties():
-    with pytest.raises(ValueError):
-        derivable(R1, R2, ASSOC, root_split_pruning=True)
-
-
-def test_root_split_pruning_agrees_with_plain_search():
-    for p, q in itertools.combinations(trees.enumerate_trees(5), 2):
-        plain = derivable(p, q, X1_VARIETY)
-        pruned = derivable(p, q, X1_VARIETY, root_split_pruning=True)
-        assert (plain is None) == (pruned is None)
-
-
 # --- eventual derivability ----------------------------------------------------------------
 
 
@@ -377,9 +362,7 @@ def reference_neighbors(t, variety):
     return out
 
 
-def reference_derivable(p, q, variety, root_split_pruning=False):
-    if root_split_pruning and rewriting._root_split(p) != rewriting._root_split(q):
-        return None
+def reference_derivable(p, q, variety):
     if p == q:
         return ()
     parents = {p: None}
@@ -401,14 +384,14 @@ def reference_derivable(p, q, variety, root_split_pruning=False):
     return None
 
 
-def reference_eventually_derivable(p, q, variety, budget, root_split_pruning=False):
+def reference_eventually_derivable(p, q, variety, budget):
     seen = {(p, q)}
     frontier = [(p, q, ())]
     checked = 0
     for level in range(budget + 1):
         for lhs, rhs, applied in frontier:
             checked += 1
-            proof = reference_derivable(lhs, rhs, variety, root_split_pruning)
+            proof = reference_derivable(lhs, rhs, variety)
             if proof is not None:
                 expansion = trees.ExpansionWord.from_applied(applied)
                 return ("holds", expansion, proof, checked)
@@ -492,9 +475,7 @@ def test_a_search_keeps_only_small_subtrees_in_its_memo():
     p = trees.parse_tree("(((. (. (. (. (. (. (. (. (. .))))))))) .) .)")
     q = trees.reflect(right_comb(12))
     memo = {}
-    proof, walked = rewriting._search(
-        p, q, X1_VARIETY, rewriting._rules(X1_VARIETY), False, memo
-    )
+    proof, walked = rewriting._search(p, q, rewriting._rules(X1_VARIETY), memo)
     assert proof is None and len(walked) == 1430
     assert memo and max(map(trees.leaf_count, memo)) == rewriting.MEMO_LEAVES
 
@@ -512,14 +493,12 @@ def test_derivable_proofs_match_the_reference(name, pair):
     st.sampled_from(sorted(VARIETIES)),
     sized_trees(1, 5),
     st.integers(0, 3),
-    st.booleans(),
 )
-def test_eventually_derivable_matches_the_reference(name, pair, budget, prune):
+def test_eventually_derivable_matches_the_reference(name, pair, budget):
     variety = VARIETIES[name]
     p, q = pair
-    prune = prune and name == "x1"  # the only variety here that fixes root splits
-    res = eventually_derivable(p, q, variety, budget, root_split_pruning=prune)
-    expected = reference_eventually_derivable(p, q, variety, budget, prune)
+    res = eventually_derivable(p, q, variety, budget)
+    expected = reference_eventually_derivable(p, q, variety, budget)
     assert (res.kind, res.expansion, res.proof, res.pairs_checked) == expected
 
 

@@ -61,3 +61,6 @@ def test_bench_measures_one_row():
     ]
     sides = script.measure({"before": negative, "after": negative}, 2, clock)
     assert [(side["repeats"], side["work"]) for side in sides.values()] == [(2, 1430)] * 2
+    # the S6 row builds the whole 720 x 720 table
+    group = rows["zoo.permutation_group", json.dumps({"group": "S6"})]
+    assert script.measure({"after": group}, 1, clock)["after"]["work"] == 720**2

@@ -22,7 +22,6 @@ from assocf.trees import (
     free_carets,
     is_expansion,
     join,
-    leaf_addresses,
     leaf_count,
     parse_tree,
     reflect,
@@ -153,7 +152,6 @@ def test_enumerate_trees_caps():
 @given(tree_strategy)
 def test_leaf_and_vertex_counts(t):
     n = leaf_count(t)
-    assert len(leaf_addresses(t)) == n
     # n leaves force n-1 interior vertices
     assert len(vertices(t)) == 2 * n - 1
 
@@ -169,12 +167,6 @@ def test_vertices_are_prefix_closed_and_sorted(t):
     assert "" in have
     for v in vs:
         assert v[:-1] in have or v == ""
-
-
-@given(tree_strategy)
-def test_leaf_addresses_locate_leaves(t):
-    for addr in leaf_addresses(t):
-        assert subtree_at(t, addr) == LEAF
 
 
 @given(tree_strategy, tree_strategy)

@@ -135,6 +135,33 @@ def test_permutation_group_cap(monkeypatch):
         permutation_group(A5_GENS)
 
 
+def test_permutation_group_tables_match_pairwise_composition(monkeypatch):
+    # the oracle closes each group with its own products and composes every
+    # pair through Permutation.__mul__
+    rng = random.Random(21)
+    seeded = [
+        tuple(Permutation(tuple(rng.sample(range(n), n))) for _ in range(2))
+        for n in (2, 3, 4, 4, 5, 5, 6)
+    ]
+    s4 = (Permutation.from_cycles(4, (1, 2)), Permutation.from_cycles(4, (1, 2, 3, 4)))
+    for gens in (S3_GENS, s4, A5_GENS, *seeded):
+        group = sorted(closure(gens, len(gens[0].images)), key=lambda p: p.images)
+        index = {p: i for i, p in enumerate(group)}
+        g = permutation_group(gens)
+        assert g.elements == tuple(str(p) for p in group)
+        assert g.table.tolist() == [[index[p * q] for q in group] for p in group]
+    # 2,000 point images: at most 20 elements of degree 5, 25 of degree 3
+    monkeypatch.setattr(zoo, "PERMUTATION_CAP", 2000)
+    assert len(permutation_group(S3_GENS)) == 6
+
+    def gather(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(np, "take", gather)
+    with pytest.raises(BudgetExceeded, match="group closure exceeds cap 2000"):
+        permutation_group(A5_GENS)
+
+
 def test_permutation_group_input_validation():
     with pytest.raises(ValueError):
         permutation_group([])
