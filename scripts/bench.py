@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Layer benchmark of the magma sweeps and the rewrite search, written to
-one JSON file.
+"""Layer benchmark of the magma sweeps, the rewrite search and the PL model
+of F, written to one JSON file.
 
-Times six kinds of row, each over several repeats:
+Times eight kinds of row, each over several repeats:
 
 * ``search_laws`` by table size and arity, on cyclic groups (associative:
   every tree stays in one class, so the whole space is swept) and on seeded
@@ -17,14 +17,18 @@ Times six kinds of row, each over several repeats:
   has 1,430 trees, and on a 10-leaf associativity positive, and
   ``eventually_derivable`` of r1/r2 under the x1 law at 3 carets;
 * ``zoo.permutation_group`` of the symmetric group S6, closure and
-  composition table.
+  composition table;
+* ``plmaps.stabilizes_halfpowers`` on each of the 6,505 elements of the
+  depth-3 closure of x1, built before the timing;
+* the PL round trip ``from_pl(to_pl(g))`` on a fixed list of 40-letter
+  words over x0, x1 and their inverses, parsed before the timing.
 
 Each row records its parameters, the median and min wall time, raw and
 scaled to a reference host speed by bench/hostspeed.py, and a work counter:
 tree evaluations (the count EVALUATION_GUARD bounds) for the law search,
 tuples read for ``satisfies`` and the core check, elements for a status,
-BFS states (trees put on a search's frontier) for the rewrite rows, and
-table entries for the group table.
+BFS states (trees put on a search's frontier) for the rewrite rows,
+table entries for the group table, and elements for the PL rows.
 
     python scripts/bench.py --quick --out BENCH.json
     python scripts/bench.py --quick --out BENCH.json --before PARENT/src
@@ -45,6 +49,7 @@ import io
 import json
 import math
 import pathlib
+import random
 import statistics
 import sys
 
@@ -81,6 +86,10 @@ REWRITES = (
      "((. .) (((. .) (((. .) .) (. .))) .))", "(((. (. (. .))) (((. .) .) (. .))) .)", None),
     ("eventually_derivable", X1_LAW, "((. .) (. (. .)))", "((. (. .)) (. .))", 3),
 )
+# the half-power row's closure depth, as in the group benchmark, and the
+# round-trip row's words
+CLOSURE_DEPTH = 3
+WORDS, LETTERS = 20, 40
 
 
 def parse_args(argv):
@@ -100,7 +109,7 @@ def load(src, name):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("cli", "magmas", "rewriting", "trees", "zoo"):
+    for module in ("cli", "magmas", "plmaps", "rewriting", "thompson", "trees", "zoo"):
         importlib.import_module(f"{name}.{module}")
     return package
 
@@ -231,6 +240,28 @@ def rows(assocf):
         return len(assocf.zoo.permutation_group(s6)) ** 2
 
     out.append(("zoo.permutation_group", {"group": "S6"}, "table entries", group))
+    plmaps, thompson = assocf.plmaps, assocf.thompson
+    members = list(rewriting.closure_generate([thompson.generators()["x1"]], CLOSURE_DEPTH))
+
+    def halfpower(members=members):
+        for g in members:
+            plmaps.stabilizes_halfpowers(g)
+        return len(members)
+
+    params = {"closure": "x1", "depth": CLOSURE_DEPTH}
+    out.append(("plmaps.stabilizes_halfpowers", params, "elements", halfpower))
+    rng = random.Random(LETTERS)
+    letters = ("x0", "x1", "x0^-1", "x1^-1")
+    words = [" * ".join(rng.choices(letters, k=LETTERS)) for _ in range(WORDS)]
+    elements = [thompson.parse_element(word) for word in words]
+
+    def round_trip(elements=elements):
+        for g in elements:
+            plmaps.from_pl(plmaps.to_pl(g))
+        return len(elements)
+
+    params = {"words": WORDS, "letters": LETTERS}
+    out.append(("plmaps.round_trip", params, "elements", round_trip))
     return out
 
 

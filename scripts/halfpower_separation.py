@@ -18,7 +18,7 @@ import time
 
 from assocf import plmaps, rewriting, thompson
 from assocf.magmas import parse_law
-from assocf.plmaps import Dyadic, decimal_str, eval_pl, to_pl
+from assocf.plmaps import decimal_str, dyadic_str, first_moved_halfpower, to_pl
 from assocf.trees import parse_tree
 
 X1_LAW_TEXT = "(. ((. .) .)) = (. (. (. .)))"
@@ -28,17 +28,6 @@ R2_TEXT = "((. (. .)) (. .))"
 # the closure depth on the x1 side
 BUDGET = 3
 DEPTH = 3
-
-
-def first_moved_halfpower(g):
-    """Smallest n with g(1/2^n) outside {1/2^k}, or None."""
-    f = to_pl(g)
-    n0 = f.max_breakpoint_exponent() + abs(f.initial_slope_log2()) + 1
-    for n in range(1, n0 + 1):
-        image = eval_pl(f, Dyadic(1, n))
-        if not image.is_halfpower():
-            return n, image
-    return None
 
 
 def main(argv=None):
@@ -68,7 +57,7 @@ def main(argv=None):
     else:
         n, image = moved
         print(
-            f"moves 1/2^{n} to {image} = {decimal_str(image)} — "
+            f"moves 1/2^{n} to {dyadic_str(image)} = {decimal_str(image)} — "
             "not a half-power, so <r1, r2> fails the stabilizer test"
         )
 

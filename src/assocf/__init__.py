@@ -10,8 +10,8 @@ expansions.  This package makes that residue of associativity computable:
 - :mod:`assocf.thompson` — tree-pair elements of Thompson's group F: the
   group operations, shift endomorphisms, the reflection automorphism,
   abelianization, and the normal-subgroup classification.
-- :mod:`assocf.plmaps` — the exact piecewise-linear model on [0, 1] over
-  dyadic rationals.
+- :mod:`assocf.plmaps` — the exact piecewise-linear model on [0, 1], with
+  dyadic rationals as ``fractions.Fraction`` values.
 - :mod:`assocf.magmas` — finite operation tables, exhaustive law checking,
   law search, solvability, and the associativity-status classifier.
 - :mod:`assocf.rewriting` — equational derivability between bracketings,

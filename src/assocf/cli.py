@@ -54,7 +54,9 @@ def _element_payload(g):
 
 def _map_payload(f):
     return {
-        "breakpoints": [[str(x), str(y)] for x, y in f.points],
+        "breakpoints": [
+            [plmaps.dyadic_str(x), plmaps.dyadic_str(y)] for x, y in f.points
+        ],
         "initial_slope_log2": f.initial_slope_log2(),
         "final_slope_log2": f.final_slope_log2(),
     }

@@ -5,132 +5,42 @@ dyadic breakpoints and power-of-two slopes.  This module converts tree pairs
 to and from that model, composes and evaluates maps exactly, and answers
 whether an element permutes the half-powers 1/2^n.
 
-No floating point anywhere.  SVG output uses exact decimal strings.
+Coordinates are ``fractions.Fraction`` values with power-of-two
+denominators.  No floating point anywhere: text output writes a coordinate
+as num/2^exp and SVG output uses exact decimal strings.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import total_ordering
+from fractions import Fraction
 
 from . import trees
 from .thompson import reduce_pair
 
 
-@total_ordering
-class Dyadic:
-    """Rational with power-of-two denominator: num / 2^exp, lowest terms.
-
-    exp is never negative; a value in lowest terms has odd num or exp == 0.
-    """
-
-    __slots__ = ("num", "exp")
-
-    def __init__(self, num, exp=0):
-        if exp < 0:
-            num <<= -exp
-            exp = 0
-        if num == 0:
-            exp = 0
-        elif exp:
-            tz = (num & -num).bit_length() - 1
-            if tz:
-                shift = tz if tz < exp else exp
-                num >>= shift
-                exp -= shift
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dyadic is immutable")
-
-    @staticmethod
-    def _coerce(v):
-        if isinstance(v, Dyadic):
-            return v
-        if isinstance(v, int):
-            return Dyadic(v)
-        return None
-
-    def __add__(self, other):
-        other = Dyadic._coerce(other)
-        if other is None:
-            return NotImplemented
-        e = max(self.exp, other.exp)
-        return Dyadic((self.num << (e - self.exp)) + (other.num << (e - other.exp)), e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = Dyadic._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = Dyadic._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = Dyadic._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Dyadic(self.num * other.num, self.exp + other.exp)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Dyadic(-self.num, self.exp)
-
-    def __eq__(self, other):
-        other = Dyadic._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.exp == other.exp
-
-    def __lt__(self, other):
-        other = Dyadic._coerce(other)
-        if other is None:
-            return NotImplemented
-        e = max(self.exp, other.exp)
-        return (self.num << (e - self.exp)) < (other.num << (e - other.exp))
-
-    def __hash__(self):
-        return hash((self.num, self.exp))
-
-    def __bool__(self):
-        return self.num != 0
-
-    def times_pow2(self, k):
-        """Exact value * 2^k for any integer k."""
-        return Dyadic(self.num, self.exp - k)
-
-    def is_halfpower(self):
-        """True iff the value is 1/2^m for some m >= 0."""
-        return self.num == 1
-
-    def __str__(self):
-        return f"{self.num}/2^{self.exp}"
-
-    def __repr__(self):
-        return f"Dyadic({self.num}, {self.exp})"
+def _dyadic(v):
+    """v as a Fraction when it is an int or a Fraction with a power-of-two
+    denominator, else None."""
+    if isinstance(v, Fraction):
+        return v if v.denominator & (v.denominator - 1) == 0 else None
+    if isinstance(v, int):
+        return Fraction(v)
+    return None
 
 
-ZERO = Dyadic(0)
-ONE = Dyadic(1)
+def _exponent(v):
+    """e with v = num / 2^e in lowest terms."""
+    return v.denominator.bit_length() - 1
+
 
 def _slope_log2(p0, p1):
-    """log2 of the segment slope, or None if it is not a power of 2."""
-    dx = p1[0] - p0[0]
-    dy = p1[1] - p0[1]
-    nx, ny = dx.num, dy.num
-    tx = (nx & -nx).bit_length() - 1
-    ty = (ny & -ny).bit_length() - 1
-    if (nx >> tx) != (ny >> ty):
+    """log2 of the positive segment slope, or None if it is not a power of 2."""
+    slope = (p1[1] - p0[1]) / (p1[0] - p0[0])
+    num, den = slope.numerator, slope.denominator
+    if num & (num - 1) or den & (den - 1):
         return None
-    return (ty - dy.exp) - (tx - dx.exp)
+    return num.bit_length() - den.bit_length()
 
 
 class PLMap:
@@ -138,20 +48,20 @@ class PLMap:
 
     Breakpoints are (x, y) pairs of dyadics from (0,0) to (1,1), strictly
     increasing in both coordinates, every slope a power of 2, and no point
-    collinear with its neighbours.  The constructor validates and drops collinear points.
+    collinear with its neighbours.  The constructor validates, drops
+    collinear points and keeps the log2 slope of each remaining segment.
     """
 
-    __slots__ = ("points", "_xs")
+    __slots__ = ("points", "_xs", "_slopes")
 
     def __init__(self, points):
         pts = []
         for x, y in points:
-            x = Dyadic._coerce(x)
-            y = Dyadic._coerce(y)
+            x, y = _dyadic(x), _dyadic(y)
             if x is None or y is None:
-                raise ValueError("breakpoint coordinates must be Dyadic")
+                raise ValueError("breakpoint coordinates must be dyadic rationals")
             pts.append((x, y))
-        if len(pts) < 2 or pts[0] != (ZERO, ZERO) or pts[-1] != (ONE, ONE):
+        if len(pts) < 2 or pts[0] != (0, 0) or pts[-1] != (1, 1):
             raise ValueError("breakpoints must run from (0,0) to (1,1)")
         slopes = []
         for a, b in zip(pts, pts[1:]):
@@ -161,13 +71,12 @@ class PLMap:
             if s is None:
                 raise ValueError("segment slope is not a power of 2")
             slopes.append(s)
-        kept = [pts[0]]
-        for i in range(1, len(pts) - 1):
-            if slopes[i - 1] != slopes[i]:
-                kept.append(pts[i])
-        kept.append(pts[-1])
-        object.__setattr__(self, "points", tuple(kept))
+        # the segments that start a new slope; the points between are collinear
+        starts = [0] + [i for i in range(1, len(slopes)) if slopes[i - 1] != slopes[i]]
+        kept = tuple(pts[i] for i in starts) + (pts[-1],)
+        object.__setattr__(self, "points", kept)
         object.__setattr__(self, "_xs", [p[0] for p in kept])
+        object.__setattr__(self, "_slopes", [slopes[i] for i in starts])
 
     def __setattr__(self, name, value):
         raise AttributeError("PLMap is immutable")
@@ -184,14 +93,14 @@ class PLMap:
         return PLMap((y, x) for x, y in self.points)
 
     def initial_slope_log2(self):
-        return _slope_log2(self.points[0], self.points[1])
+        return self._slopes[0]
 
     def final_slope_log2(self):
-        return _slope_log2(self.points[-2], self.points[-1])
+        return self._slopes[-1]
 
     def max_breakpoint_exponent(self):
         """Max exponent over all coordinates (covers the inverse map too)."""
-        return max(c.exp for p in self.points for c in p)
+        return max(_exponent(c) for p in self.points for c in p)
 
     def __str__(self):
         return format_pl_map(self)
@@ -202,15 +111,15 @@ class PLMap:
 
 def eval_pl(f, x):
     """Exact value of f at a dyadic x in [0, 1]."""
-    x = Dyadic._coerce(x)
-    if x is None or x < ZERO or x > ONE:
+    x = _dyadic(x)
+    if x is None or not 0 <= x <= 1:
         raise ValueError("argument must be a dyadic in [0, 1]")
     i = bisect_right(f._xs, x) - 1
-    if i == len(f.points) - 1:
+    if i == len(f._slopes):
         i -= 1
     x0, y0 = f.points[i]
-    s = _slope_log2(f.points[i], f.points[i + 1])
-    return y0 + (x - x0).times_pow2(s)
+    s = f._slopes[i]
+    return y0 + ((x - x0) * (1 << s) if s >= 0 else (x - x0) / (1 << -s))
 
 
 def compose_pl(f, g):
@@ -223,8 +132,8 @@ def compose_pl(f, g):
 
 
 def _boundaries(t):
-    """Dyadic endpoints of the leaf intervals of t, from 0 to 1."""
-    return [ZERO] + [Dyadic(k + 1, d) for k, d in trees.leaf_intervals(t)]
+    """The dyadic endpoints of the leaf intervals of t, from 0 to 1."""
+    return [Fraction(0)] + [Fraction(k + 1, 1 << d) for k, d in trees.leaf_intervals(t)]
 
 
 def to_pl(g):
@@ -252,15 +161,16 @@ def from_pl(f):
         if not any(lo < x < hi for x in interior):
             ylo, yhi = eval_pl(f, lo), eval_pl(f, hi)
             length = yhi - ylo
-            if length.is_halfpower() and ylo.exp <= length.exp:
+            # a half-power length, and ylo a multiple of it
+            if length.numerator == 1 and ylo.denominator <= length.denominator:
                 pieces.append((lo, hi))
                 return
-        mid = (lo + hi).times_pow2(-1)
+        mid = (lo + hi) / 2
         split(lo, mid)
         split(mid, hi)
 
-    split(ZERO, ONE)
-    src_cuts = [p[0] for p in pieces] + [ONE]
+    split(Fraction(0), Fraction(1))
+    src_cuts = [p[0] for p in pieces] + [Fraction(1)]
     tgt_cuts = [eval_pl(f, x) for x in src_cuts]
     return reduce_pair(_tree_from_cuts(src_cuts), _tree_from_cuts(tgt_cuts))
 
@@ -268,49 +178,61 @@ def from_pl(f):
 def _tree_from_cuts(cuts):
     # Consecutive cuts bound standard intervals [k/2^d, (k+1)/2^d].
     def interval(lo, hi):
-        d = (hi - lo).exp
-        return lo.num << (d - lo.exp), d
+        width = (hi - lo).denominator
+        return lo.numerator * width // lo.denominator, width.bit_length() - 1
 
     return trees.from_leaf_intervals(
         interval(lo, hi) for lo, hi in zip(cuts, cuts[1:])
     )
 
 
-def stabilizes_halfpowers(g):
-    """Does g permute the set {1/2^n : n >= 1}?
+def first_moved_halfpower(g):
+    """The first (n, image) such that g, or else g^-1, maps 1/2^n to an image
+    outside {1/2^k}; None when g permutes the set {1/2^n : n >= 1}.
 
     Checked for n = 1 .. N0 with N0 = (max breakpoint exponent over g and
-    g^-1) + |log2 initial slope| + 1, in both directions.  Beyond that every
-    1/2^n sits strictly inside the first segment of both maps, where
-    f(x) = 2^a x, so f(1/2^n) = 1/2^(n-a) with n - a >= 1: membership is
-    automatic and cannot change the verdict.
+    g^-1) + |log2 initial slope| + 1.  Beyond that every 1/2^n sits strictly
+    inside the first segment of both maps, where f(x) = 2^a x, so
+    f(1/2^n) = 1/2^(n-a) with n - a >= 1: membership is automatic and cannot
+    change the verdict.
     """
     f = to_pl(g)
     finv = f.invert()
     n0 = f.max_breakpoint_exponent() + abs(f.initial_slope_log2()) + 1
     for n in range(1, n0 + 1):
-        x = Dyadic(1, n)
-        if not eval_pl(f, x).is_halfpower():
-            return False
-        if not eval_pl(finv, x).is_halfpower():
-            return False
-    return True
+        x = Fraction(1, 1 << n)
+        for h in (f, finv):
+            image = eval_pl(h, x)
+            if image.numerator != 1:
+                return n, image
+    return None
+
+
+def stabilizes_halfpowers(g):
+    """Does g permute the set {1/2^n : n >= 1}?  See first_moved_halfpower."""
+    return first_moved_halfpower(g) is None
+
+
+def dyadic_str(v):
+    """A dyadic as num/2^exp in lowest terms; 0 is 0/2^0."""
+    return f"{v.numerator}/2^{_exponent(v)}"
 
 
 def format_pl_map(f):
-    return "pl " + " ".join(f"({x} -> {y})" for x, y in f.points)
+    return "pl " + " ".join(f"({dyadic_str(x)} -> {dyadic_str(y)})" for x, y in f.points)
 
 
 def decimal_str(d):
     """Exact decimal string for a dyadic (n/2^e = n*5^e / 10^e)."""
-    scaled = d.num * 5**d.exp
+    exp = _exponent(d)
+    scaled = d.numerator * 5**exp
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
-    unit = 10**d.exp
+    unit = 10**exp
     whole, frac = divmod(scaled, unit)
     if frac == 0:
         return f"{sign}{whole}"
-    return f"{sign}{whole}." + str(frac).rjust(d.exp, "0").rstrip("0")
+    return f"{sign}{whole}." + str(frac).rjust(exp, "0").rstrip("0")
 
 
 def svg_document(f):
@@ -321,13 +243,12 @@ def svg_document(f):
     """
     size, margin, color = 480, 20, "#1f6feb"
     inner = size - 2 * margin
-    scale = Dyadic(inner)
 
     def px(v):
-        return decimal_str(margin + v * scale)
+        return decimal_str(margin + v * inner)
 
     def py(v):
-        return decimal_str(margin + (ONE - v) * scale)
+        return decimal_str(margin + (1 - v) * inner)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -336,17 +257,17 @@ def svg_document(f):
         'fill="white" stroke="#888"/>',
     ]
     for i in (1, 2, 3):
-        v = Dyadic(i, 2)
+        v = Fraction(i, 4)
         parts.append(
-            f'<line x1="{px(v)}" y1="{py(ZERO)}" x2="{px(v)}" y2="{py(ONE)}" '
+            f'<line x1="{px(v)}" y1="{py(0)}" x2="{px(v)}" y2="{py(1)}" '
             'stroke="#ddd"/>'
         )
         parts.append(
-            f'<line x1="{px(ZERO)}" y1="{py(v)}" x2="{px(ONE)}" y2="{py(v)}" '
+            f'<line x1="{px(0)}" y1="{py(v)}" x2="{px(1)}" y2="{py(v)}" '
             'stroke="#ddd"/>'
         )
     parts.append(
-        f'<line x1="{px(ZERO)}" y1="{py(ZERO)}" x2="{px(ONE)}" y2="{py(ONE)}" '
+        f'<line x1="{px(0)}" y1="{py(0)}" x2="{px(1)}" y2="{py(1)}" '
         'stroke="#bbb" stroke-dasharray="4 3"/>'
     )
     coords = " ".join(f"{px(x)},{py(y)}" for x, y in f.points)

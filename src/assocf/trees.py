@@ -128,19 +128,19 @@ def expand(t, i):
     """Replace leaf i by a caret; identity when i exceeds the leaf count."""
     if i < 1:
         raise ParseError(f"leaf index must be >= 1, got {i}")
-    if i > leaf_count(t):
-        return t
-    return _expand(t, i)
+    return _expand(t, i)[0]
 
 
 def _expand(t, i):
+    """(t with its leaf i expanded, 0), or (t, i - leaf count of t) when t
+    has fewer than i leaves: one left-to-right walk that stops at leaf i."""
     if t == LEAF:
-        return (LEAF, LEAF)
-    left, right = t
-    nl = leaf_count(left)
-    if i <= nl:
-        return (_expand(left, i), right)
-    return (left, _expand(right, i - nl))
+        return ((LEAF, LEAF), 0) if i == 1 else (t, i - 1)
+    left, i = _expand(t[0], i)
+    if i == 0:
+        return (left, t[1]), 0
+    right, i = _expand(t[1], i)
+    return (t, i) if i else ((t[0], right), 0)
 
 
 def shift(t, side):

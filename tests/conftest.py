@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 
 from assocf import thompson, zoo
 from assocf.magmas import Law
-from assocf.plmaps import ZERO, to_pl
+from assocf.plmaps import to_pl
 
 settings.register_profile(
     "suite",
@@ -74,7 +74,7 @@ def support_interval(g):
     pts = to_pl(g).points
     moved = [i for i, (x, y) in enumerate(pts) if x != y]
     if not moved:
-        return (ZERO, ZERO)
+        return (0, 0)
     return (pts[moved[0] - 1][0], pts[moved[-1] + 1][0])
 
 

@@ -64,3 +64,17 @@ def test_bench_measures_one_row():
     # the S6 row builds the whole 720 x 720 table
     group = rows["zoo.permutation_group", json.dumps({"group": "S6"})]
     assert script.measure({"after": group}, 1, clock)["after"]["work"] == 720**2
+    # the PL round trip runs over its 20 fixed words
+    trip = rows["plmaps.round_trip", json.dumps({"words": 20, "letters": 40})]
+    assert script.measure({"after": trip}, 1, clock)["after"]["work"] == 20
+
+
+def test_halfpower_separation_finds_the_moved_halfpower(capsys):
+    script = load_script("halfpower_separation")
+    assert script.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert (
+        "moves 1/2^1 to 3/2^3 = 0.375 — not a half-power, so <r1, r2> fails "
+        "the stabilizer test"
+    ) in lines
+    assert any(line.startswith("half-power stabilizer failures: 0 ") for line in lines)
