@@ -19,9 +19,13 @@ Times eight kinds of row, each over several repeats:
 * ``zoo.permutation_group`` of the symmetric group S6, closure and
   composition table;
 * ``plmaps.stabilizes_halfpowers`` on each of the 6,505 elements of the
-  depth-3 closure of x1, built before the timing;
+  depth-3 closure of x1;
 * the PL round trip ``from_pl(to_pl(g))`` on a fixed list of 40-letter
-  words over x0, x1 and their inverses, parsed before the timing.
+  words over x0, x1 and their inverses.
+
+A row builds its input (tables, parsed trees and words, the x1 closure)
+when it is measured, outside the timing, so a run of a few rows builds
+only theirs.
 
 Each row records its parameters, the median and min wall time, raw and
 scaled to a reference host speed by bench/hostspeed.py, and a work counter:
@@ -38,7 +42,8 @@ another checkout's assocf sources, timed under ``before`` in the same
 process: the two sides take turns call by call, the first side changing
 from one repeat to the next, so host drift falls on both alike.  Rows
 already in ``--out`` are kept.  ``--quick`` takes 10 repeats a side
-instead of 40; a row stops after 3 once it has taken 2 s a side.
+instead of 40; a row stops after 3 once it has taken 2 s a side, and its
+console line names the repeats its medians are taken over.
 """
 
 import argparse
@@ -169,99 +174,127 @@ def bfs_states(rewriting, search):
 
 
 def rows(assocf):
-    """(name, params, work unit, call) for every row; call() returns its
-    work count."""
+    """(name, params, work unit, setup) for every row.  setup() builds the
+    row's input when the row is measured, outside the timing, and returns
+    its call; call() returns its work count."""
     magmas, cli, cyclic = assocf.magmas, assocf.cli, assocf.zoo.cyclic_addition
     fixtures = sorted((REPO / "fixtures").glob("*.magma"))
-    load = {p.stem: magmas.load_magma(p.read_text()) for p in fixtures}
+
+    def fixture(stem):
+        return magmas.load_magma((REPO / "fixtures" / f"{stem}.magma").read_text())
+
     out = []
     for kind, size, n in SEARCHES:
-        m = cyclic(size) if kind == "cyclic" else random_table(size, magmas)
-        evaluations = math.comb(2 * n - 2, n - 1) // n * size**n
 
-        def search(m=m, n=n, evaluations=evaluations):
-            magmas.search_laws(m, n)
-            return evaluations
+        def setup(kind=kind, size=size, n=n):
+            m = cyclic(size) if kind == "cyclic" else random_table(size, magmas)
+            evaluations = math.comb(2 * n - 2, n - 1) // n * size**n
+
+            def search():
+                magmas.search_laws(m, n)
+                return evaluations
+
+            return search
 
         params = {"table": kind, "size": size, "arity": n}
-        out.append(("magmas.search_laws", params, "tree evaluations", search))
-    for name, m in (("a5_commutator", load["a5_commutator"]), ("cyclic", cyclic(60))):
-
-        def check(m=m):
-            return tuples_read(magmas, lambda: magmas.satisfies(m, magmas.associative_law()))
-
-        params = {"table": name, "size": len(m), "law": "associativity"}
-        out.append(("magmas.satisfies", params, "tuples read", check))
-    z16 = cyclic(16)
-    for name, m in (
-        ("a5_commutator", load["a5_commutator"]),
-        ("pre_sl2 x Z_16", product(load["pre_sl2"], z16, magmas)),
+        out.append(("magmas.search_laws", params, "tree evaluations", setup))
+    for name, size, make in (
+        ("a5_commutator", 60, lambda: fixture("a5_commutator")),
+        ("cyclic", 60, lambda: cyclic(60)),
     ):
 
-        def core_check(m=m):
-            fvl = magmas.five_variable_law()
-            return tuples_read(magmas, lambda: magmas.satisfies_eventually(m, fvl))
+        def setup(make=make):
+            m = make()
+            return lambda: tuples_read(
+                magmas, lambda: magmas.satisfies(m, magmas.associative_law())
+            )
 
-        params = {"table": name, "size": len(m)}
-        out.append(("magmas.fvl_core_check", params, "tuples read", core_check))
+        params = {"table": name, "size": size, "law": "associativity"}
+        out.append(("magmas.satisfies", params, "tuples read", setup))
+    for name, size, make in (
+        ("a5_commutator", 60, lambda: fixture("a5_commutator")),
+        ("pre_sl2 x Z_16", 64, lambda: product(fixture("pre_sl2"), cyclic(16), magmas)),
+    ):
+
+        def setup(make=make):
+            m, fvl = make(), magmas.five_variable_law()
+            return lambda: tuples_read(magmas, lambda: magmas.satisfies_eventually(m, fvl))
+
+        params = {"table": name, "size": size}
+        out.append(("magmas.fvl_core_check", params, "tuples read", setup))
     for path in fixtures:
 
-        def status(path=path, size=len(load[path.stem])):
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.run(["magma", "status", str(path), "--json"])
-            if code != 0:
-                raise RuntimeError(f"magma status {path.name} exited {code}")
-            return size
+        def setup(path=path):
+            size = len(fixture(path.stem))
 
-        out.append(("e2e.magma_status", {"table": path.stem}, "elements", status))
+            def status():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.run(["magma", "status", str(path), "--json"])
+                if code != 0:
+                    raise RuntimeError(f"magma status {path.name} exited {code}")
+                return size
+
+            return status
+
+        out.append(("e2e.magma_status", {"table": path.stem}, "elements", setup))
     rewriting, parse = assocf.rewriting, assocf.trees.parse_tree
     for verb, law, lhs, rhs, budget in REWRITES:
-        variety = rewriting.VarietyPresentation((magmas.parse_law(law),))
-        args = (parse(lhs), parse(rhs), variety) + (() if budget is None else (budget,))
 
-        def search(verb=getattr(rewriting, verb), args=args):
-            verb(*args)
+        def setup(verb=getattr(rewriting, verb), law=law, lhs=lhs, rhs=rhs, budget=budget):
+            variety = rewriting.VarietyPresentation((magmas.parse_law(law),))
+            args = (parse(lhs), parse(rhs), variety) + (() if budget is None else (budget,))
+            # counted in a run of its own, so no timed run pays for the counter
+            states = bfs_states(rewriting, lambda: verb(*args))
 
-        # counted in a run of its own, so no timed run pays for the counter
-        states = bfs_states(rewriting, search)
+            def timed():
+                verb(*args)
+                return states
 
-        def timed(search=search, states=states):
-            search()
-            return states
+            return timed
 
         params = {"law": law, "lhs": lhs, "rhs": rhs}
         if budget is not None:
             params["budget"] = budget
-        out.append((f"rewriting.{verb}", params, "BFS states", timed))
-    perm = assocf.zoo.Permutation
-    s6 = (perm.from_cycles(6, (1, 2)), perm.from_cycles(6, (1, 2, 3, 4, 5, 6)))
+        out.append((f"rewriting.{verb}", params, "BFS states", setup))
+    zoo = assocf.zoo
 
-    def group(s6=s6):
-        return len(assocf.zoo.permutation_group(s6)) ** 2
+    def setup():
+        perm = zoo.Permutation
+        s6 = (perm.from_cycles(6, (1, 2)), perm.from_cycles(6, (1, 2, 3, 4, 5, 6)))
+        return lambda: len(zoo.permutation_group(s6)) ** 2
 
-    out.append(("zoo.permutation_group", {"group": "S6"}, "table entries", group))
+    out.append(("zoo.permutation_group", {"group": "S6"}, "table entries", setup))
     plmaps, thompson = assocf.plmaps, assocf.thompson
-    members = list(rewriting.closure_generate([thompson.generators()["x1"]], CLOSURE_DEPTH))
 
-    def halfpower(members=members):
-        for g in members:
-            plmaps.stabilizes_halfpowers(g)
-        return len(members)
+    def setup():
+        x1 = thompson.generators()["x1"]
+        members = list(rewriting.closure_generate([x1], CLOSURE_DEPTH))
+
+        def halfpower():
+            for g in members:
+                plmaps.stabilizes_halfpowers(g)
+            return len(members)
+
+        return halfpower
 
     params = {"closure": "x1", "depth": CLOSURE_DEPTH}
-    out.append(("plmaps.stabilizes_halfpowers", params, "elements", halfpower))
-    rng = random.Random(LETTERS)
-    letters = ("x0", "x1", "x0^-1", "x1^-1")
-    words = [" * ".join(rng.choices(letters, k=LETTERS)) for _ in range(WORDS)]
-    elements = [thompson.parse_element(word) for word in words]
+    out.append(("plmaps.stabilizes_halfpowers", params, "elements", setup))
 
-    def round_trip(elements=elements):
-        for g in elements:
-            plmaps.from_pl(plmaps.to_pl(g))
-        return len(elements)
+    def setup():
+        rng = random.Random(LETTERS)
+        letters = ("x0", "x1", "x0^-1", "x1^-1")
+        words = [" * ".join(rng.choices(letters, k=LETTERS)) for _ in range(WORDS)]
+        elements = [thompson.parse_element(word) for word in words]
+
+        def round_trip():
+            for g in elements:
+                plmaps.from_pl(plmaps.to_pl(g))
+            return len(elements)
+
+        return round_trip
 
     params = {"words": WORDS, "letters": LETTERS}
-    out.append(("plmaps.round_trip", params, "elements", round_trip))
+    out.append(("plmaps.round_trip", params, "elements", setup))
     return out
 
 
@@ -314,8 +347,8 @@ def main(argv=None):
             print(f"error: no assocf sources under {src}")
             return 2
     side_rows = {
-        label: {key(name, params): (name, params, unit, call)
-                for name, params, unit, call in rows(load(src, f"assocf_{label}"))}
+        label: {key(name, params): (name, params, unit, setup)
+                for name, params, unit, setup in rows(load(src, f"assocf_{label}"))}
         for label, src in sources.items()
     }
 
@@ -326,14 +359,14 @@ def main(argv=None):
     clock = hostspeed.HostClock()
     repeats = 10 if args.quick else 40
     for row_key, (name, params, unit, _) in side_rows["after"].items():
-        calls = {label: found[row_key][3] for label, found in side_rows.items() if row_key in found}
+        calls = {label: found[row_key][3]() for label, found in side_rows.items() if row_key in found}
         row = table.setdefault(
             row_key,
             {"name": name, "layer": name.split(".")[0], "params": params, "unit": unit},
         )
         row.update(measure(calls, repeats, clock))
         times = ", ".join(f"{label} {row[label]['median_s'] * 1e3:.2f} ms" for label in calls)
-        print(name, params, times)
+        print(name, params, times, f"(median of {row['after']['repeats']} repeats)")
     report["rows"] = list(table.values())
     out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -95,6 +95,25 @@ def _format_status(status):
     return f"{tag}({inner})"
 
 
+# how each kind of evidence is written; the rest are names and numbers
+_EVIDENCE_FORMATS = {
+    "law": format_law,
+    "laws": lambda laws: [format_law(law) for law in laws],
+    "tree": format_tree,
+    "expansion": str,
+    "chain_sizes": list,
+    "counterexample": list,
+}
+
+
+def _status_payload(status):
+    evidence = {
+        key: _EVIDENCE_FORMATS.get(key, lambda v: v)(value)
+        for key, value in status.evidence.items()
+    }
+    return {"kind": status.kind, "reason": status.reason, "evidence": evidence}
+
+
 def _eventual_payload(res):
     return {
         "kind": res.kind,
@@ -253,10 +272,10 @@ def _cmd_magma(args):
             m, eventual_carets=args.budget, arity_cap=args.arity_cap
         )
         return CommandResult(
-            "ok", status.as_payload(), text=_format_status(status)
+            "ok", _status_payload(status), text=_format_status(status)
         )
     if args.action == "search":
-        laws = magmas.search_laws(m, args.arity, force=args.force)
+        laws = magmas.search_laws(m, args.arity)
         payload = {"arity": args.arity, "laws": [format_law(law) for law in laws]}
         text = "\n".join(format_law(law) for law in laws) or "no laws"
         return CommandResult("ok", payload, text=text)
@@ -439,7 +458,6 @@ def build_parser():
     sub = magma.add_parser("search")
     sub.add_argument("file")
     sub.add_argument("arity", type=int)
-    sub.add_argument("--force", action="store_true", help="ignore the cost guard")
     _add_common(sub)
     sub = magma.add_parser("centralizer")
     sub.add_argument("file")

@@ -40,10 +40,12 @@ _PARTITION_BLOCK = 1 << 16
 # _partition), so that an early answer costs 1/16 of a large block.
 _SMALL_BLOCK = 1 << 12
 
-# Most tree evaluations (trees x tuples) one arity of search_laws makes
-# unless forced: Catalan(n-1) * |S|^n, so the arity-3 search stops from
-# 369 elements on.
+# Most tree evaluations (trees x tuples) one arity of search_laws makes:
+# Catalan(n-1) * |S|^n, so the arity-3 search stops from 369 elements on.
 EVALUATION_GUARD = 100_000_000
+# Most laws one search_laws call returns: all C(1430, 2) laws of arity 9 on
+# an associative table still fit, all C(4862, 2) of arity 10 do not.
+LAW_GUARD = 2_000_000
 
 
 def _dtype_for(size):
@@ -275,38 +277,6 @@ class AssocStatus:
     kind: str  # full_f | trivial_certified | contains_commutator | no_law_up_to | unknown
     reason: str
     evidence: dict = field(default_factory=dict)
-
-    def as_payload(self):
-        return {
-            "kind": self.kind,
-            "reason": self.reason,
-            "evidence": {k: _payload_value(v) for k, v in self.evidence.items()},
-        }
-
-
-def _is_tree(v):
-    if v == ():
-        return True
-    return (
-        isinstance(v, tuple)
-        and len(v) == 2
-        and _is_tree(v[0])
-        and _is_tree(v[1])
-    )
-
-
-def _payload_value(v):
-    if isinstance(v, Law):
-        return format_law(v)
-    if isinstance(v, ExpansionWord):
-        return str(v)
-    if isinstance(v, tuple) and _is_tree(v):
-        return trees.format_tree(v)
-    if isinstance(v, (tuple, list)):
-        return [_payload_value(x) for x in v]
-    if isinstance(v, (frozenset, set)):
-        return sorted(_payload_value(x) for x in v)
-    return v
 
 
 def evaluate(m, tree, args):
@@ -669,26 +639,27 @@ def centralizer(m, subset, zero):
     return frozenset(m.elements[int(i)] for i in np.nonzero(mask)[0])
 
 
-def search_laws(m, n, *, force=False):
+def search_laws(m, n):
     """All nontrivial laws of arity n that hold, exhaustively verified.
 
     The n-leaf trees are partitioned by their values on every tuple, and
     the laws are the pairs (i, j), i < j in enumeration order, that share a
     class.  The values of every tree with fewer leaves are kept (_levels),
     and those of the n-leaf trees are joined from them one block at a time.
-    Unless forced, guarded by the tree evaluations it makes: Catalan(n-1)
-    trees on |S|^n tuples, against EVALUATION_GUARD; the kept levels then
-    hold at most EVALUATION_GUARD / |S| values.
+    Guarded by the tree evaluations it makes, Catalan(n-1) trees on |S|^n
+    tuples, against EVALUATION_GUARD (the kept levels then hold at most
+    EVALUATION_GUARD / |S| values), and by the laws it would return,
+    counted from the classes before any is built, against LAW_GUARD.
     """
     if n < 1:
         raise ValueError(f"search arity must be >= 1, got {n}")
     size = len(m)
     n_trees = math.comb(2 * n - 2, n - 1) // n
     work = n_trees * size**n
-    if work > EVALUATION_GUARD and not force:
+    if work > EVALUATION_GUARD:
         raise BudgetExceeded(
             f"{n_trees} trees on {size}^{n} tuples = {work} evaluations "
-            f"exceed guard {EVALUATION_GUARD} (force to override)"
+            f"exceed guard {EVALUATION_GUARD}"
         )
     shapes = trees.enumerate_trees(n)
     if n == 1:
@@ -700,6 +671,9 @@ def search_laws(m, n, *, force=False):
         return _top_rows(m.table, levels, n, *block)
 
     classes = _partition(rows, n_trees, _whole(m, n))
+    count = sum(math.comb(len(c), 2) for c in classes)
+    if count > LAW_GUARD:
+        raise BudgetExceeded(f"{count} laws of arity {n} exceed guard {LAW_GUARD}")
     pairs = sorted(p for c in classes for p in itertools.combinations(c, 2))
     return tuple(Law(shapes[i], shapes[j]) for i, j in pairs)
 
@@ -710,8 +684,8 @@ def assoc_status(m, *, eventual_carets=6, arity_cap=None):
     Associative or solvable certifies the full group; a two-sided identity
     on a non-associative table certifies the trivial group; the five
     variable law holding after some expansion certifies containing the
-    commutator subgroup (on the nose for a simply perfect table, else with
-    a caret-minimal expansion, reported when it has at most
+    commutator subgroup (on the nose when its caret-minimal expansion is
+    empty, else with that expansion, reported when it has at most
     `eventual_carets` carets); failing all that, law search up to
     `arity_cap` (by default 6 up to 4 elements, 4 up to 60, else 3)
     reports either exhaustion bounds or the laws it found.  Unknown never
@@ -756,29 +730,21 @@ def assoc_status(m, *, eventual_carets=6, arity_cap=None):
     eventual = satisfies_eventually(m, fvl)
     # a witness past the caret budget is left to the law search
     if eventual.holds and len(eventual.witness) <= eventual_carets:
-        # on a simply perfect table every image is S: no expansion to show
-        if m.simply_perfect:
+        if not eventual.witness.letters:
             return AssocStatus("contains_commutator", "fvl-on-the-nose", {"law": fvl})
         return AssocStatus(
             "contains_commutator",
             "fvl-at-expansion",
             {"law": fvl, "expansion": eventual.witness},
         )
-    found = []
     # the only law of arity 3 is associativity, which fails here
-    searched_to = min(3, arity_cap)
     for arity in range(4, arity_cap + 1):
-        found.extend(search_laws(m, arity))
-        searched_to = arity
-        if found:
+        laws = search_laws(m, arity)
+        if laws:
             return AssocStatus(
-                "unknown",
-                "laws-found",
-                {"laws": tuple(found), "searched_up_to": searched_to},
+                "unknown", "laws-found", {"laws": laws, "searched_up_to": arity}
             )
-    return AssocStatus(
-        "no_law_up_to", "law-search-exhausted", {"arity": searched_to}
-    )
+    return AssocStatus("no_law_up_to", "law-search-exhausted", {"arity": arity_cap})
 
 
 def load_magma(text):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from conftest import random_tree
 
 from assocf import cli
-from assocf.magmas import load_magma
+from assocf.magmas import five_variable_law, format_law, load_magma
 from assocf.trees import PARSE_DEPTH_CAP, format_tree
 from assocf.zoo import BUILTINS
 
@@ -126,16 +126,35 @@ def test_status_past_the_law_search_guard_exits_3(capsys):
     assert out.startswith("budget exhausted: 1430 trees on 4^9 tuples = 374865920 ")
 
 
-def test_search_force_overrides_guard(capsys):
+def test_search_under_the_guard_answers(capsys):
     code, out = run_capture(
         ["magma", "search", "fixtures/pre_sl2.magma", "5"], capsys
     )
     assert code == 0  # 4^5 is under the guard
-    forced, out2 = run_capture(
-        ["magma", "search", "fixtures/pre_sl2.magma", "5", "--force"], capsys
+    assert out == "no laws\n"
+
+
+def test_search_past_the_law_guard_exits_3(tmp_path, capsys):
+    # Z_2 is associative: all 4,862 ten-leaf trees agree, 4862 * 2^10
+    # evaluations pass the evaluation guard, and C(4862, 2) laws do not
+    z2 = tmp_path / "z2.magma"
+    z2.write_text("0 1\n0 1\n1 0\n")
+    code, out = run_capture(["magma", "search", str(z2), "10"], capsys)
+    assert (code, out) == (
+        3, "budget exhausted: 11817091 laws of arity 10 exceed guard 2000000\n"
     )
-    assert forced == 0
-    assert out == out2 == "no laws\n"
+
+
+def test_a_law_that_holds_on_the_nose_is_reported_so(tmp_path, capsys):
+    # a table that is not simply perfect can hold the five-variable law on
+    # the nose; status and eventual agree on it
+    table = tmp_path / "t.magma"
+    table.write_text("a b c\nb c b\nb c b\nb c b\n")
+    code, out = run_capture(["magma", "status", str(table)], capsys)
+    assert (code, out) == (0, "ContainsCommutator(on-the-nose)\n")
+    law = format_law(five_variable_law())
+    code, out = run_capture(["magma", "eventual", str(table), law], capsys)
+    assert (code, out) == (0, "holds on the nose\n")
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +355,9 @@ def test_a_closure_past_its_guard_exits_3_at_once(json_flag, capsys):
             "variety", "derivable", "fixtures/x1_law.variety",
             "((. .) (. (. .)))", "((. (. .)) (. .))", "--prune",
         ],
+        ["magma", "search", "fixtures/s4.magma", "5", "--force"],
     ],
-    ids=["threads", "cap", "word-cap", "ab", "prune"],
+    ids=["threads", "cap", "word-cap", "ab", "prune", "force"],
 )
 def test_removed_flags_are_usage_errors(argv, capsys):
     code, captured = cli.run(argv), capsys.readouterr()

@@ -2,7 +2,6 @@
 
 import contextlib
 import itertools
-import json
 import math
 import pathlib
 import random
@@ -373,6 +372,18 @@ def test_fvl_eventual_fixture():
     assert status.evidence["expansion"] == res.witness
 
 
+def test_fvl_on_the_nose_follows_the_witness_not_surjectivity():
+    # every product is b or c, yet x op y depends on y alone, so both sides
+    # of the law read their last variable through the same two steps: it
+    # holds on the nose although the table is not simply perfect
+    m = load_magma("a b c\nb c b\nb c b\nb c b\n")
+    assert not m.simply_perfect
+    assert satisfies(m, five_variable_law()).holds
+    assert satisfies_eventually(m, five_variable_law()).witness == trees.ExpansionWord()
+    status = assoc_status(m)
+    assert (status.reason, status.evidence) == ("fvl-on-the-nose", {"law": five_variable_law()})
+
+
 def test_eventual_for_associativity_of_s3_commutator(builtins):
     res = satisfies_eventually(builtins["s3_commutator"], associative_law())
     assert res.kind == "holds"
@@ -669,8 +680,6 @@ def test_search_tuple_space_guard(builtins, monkeypatch):
     monkeypatch.setattr(magmas, "EVALUATION_GUARD", 10)
     with pytest.raises(BudgetExceeded):
         search_laws(z4, 3)
-    forced = search_laws(z4, 3, force=True)
-    assert len(forced) == 1 and same_sides(forced[0], associative_law())
 
 
 def test_search_guard_counts_every_tree_on_every_tuple(builtins, monkeypatch):
@@ -681,6 +690,25 @@ def test_search_guard_counts_every_tree_on_every_tuple(builtins, monkeypatch):
     monkeypatch.setattr(magmas, "EVALUATION_GUARD", 127)
     with pytest.raises(BudgetExceeded, match=r"^2 trees on 4\^3 tuples = 128 "):
         search_laws(z4, 3)
+
+
+def test_law_guard_counts_the_laws_before_building_them(builtins, monkeypatch):
+    # z4 is associative: its 5 four-leaf trees share one class, C(5, 2) laws
+    z4 = builtins["z4_addition"]
+    built = []
+    monkeypatch.setattr(magmas, "Law", lambda *sides: built.append(sides) or Law(*sides))
+    monkeypatch.setattr(magmas, "LAW_GUARD", 10)
+    assert len(search_laws(z4, 4)) == 10
+    built.clear()
+    monkeypatch.setattr(magmas, "LAW_GUARD", 9)
+    with pytest.raises(BudgetExceeded, match=r"^10 laws of arity 4 exceed guard 9$"):
+        search_laws(z4, 4)
+    assert built == []
+
+
+def test_law_guard_passes_arity_9_and_stops_arity_10():
+    # on an associative table every tree of an arity shares one class
+    assert math.comb(1430, 2) <= magmas.LAW_GUARD < math.comb(4862, 2)
 
 
 def test_default_guard_stops_arity_3_from_369_elements():
@@ -935,13 +963,6 @@ def test_status_of_sl2_decides_the_fvl_exactly(builtins):
     assert status.evidence == {"arity": 4}
 
 
-def test_status_payloads_are_json_serializable(builtins):
-    for name in ("z4_addition", "s3_commutator", "octonion_units", "s4", "pre_sl2"):
-        payload = assoc_status(builtins[name]).as_payload()
-        parsed = json.loads(json.dumps(payload, sort_keys=True))
-        assert parsed["kind"] == assoc_status(builtins[name]).kind
-
-
 def direct_product(a, b):
     """The table of (x, y) op (u, v) = (x op u, y op v), pairs in row-major
     order."""
@@ -970,7 +991,7 @@ def test_status_skips_the_arity_3_search_and_names_the_cap(builtins, monkeypatch
     searched = []
     search = magmas.search_laws
     monkeypatch.setattr(
-        magmas, "search_laws", lambda m, n, **kw: searched.append(n) or search(m, n, **kw)
+        magmas, "search_laws", lambda m, n: searched.append(n) or search(m, n)
     )
     for cap in (2, 3, 4):
         status = assoc_status(builtins["pre_sl2"], arity_cap=cap)
@@ -1003,4 +1024,4 @@ def test_status_reports_a_witness_within_the_caret_budget():
 @pytest.mark.parametrize("n", [0, -1])
 def test_search_needs_a_positive_arity(builtins, n):
     with pytest.raises(ValueError, match=f"^search arity must be >= 1, got {n}$"):
-        search_laws(builtins["z4_addition"], n, force=True)
+        search_laws(builtins["z4_addition"], n)
