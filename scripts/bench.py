@@ -2,7 +2,7 @@
 """Layer benchmark of the magma sweeps, the rewrite search and the PL model
 of F, written to one JSON file.
 
-Times eight kinds of row, each over several repeats:
+Times eleven kinds of row, each over several repeats:
 
 * ``search_laws`` by table size and arity, on cyclic groups (associative:
   every tree stays in one class, so the whole space is swept) and on seeded
@@ -18,10 +18,12 @@ Times eight kinds of row, each over several repeats:
   ``eventually_derivable`` of r1/r2 under the x1 law at 3 carets;
 * ``zoo.permutation_group`` of the symmetric group S6, closure and
   composition table;
-* ``plmaps.stabilizes_halfpowers`` on each of the 6,505 elements of the
-  depth-3 closure of x1;
-* the PL round trip ``from_pl(to_pl(g))`` on a fixed list of 40-letter
-  words over x0, x1 and their inverses.
+* ``rewriting.closure_generate`` of x1 to depth 3, 6,505 elements;
+* ``plmaps.stabilizes_halfpowers`` on each of those elements;
+* ``thompson.power`` of x0 and of x1 to the 120th;
+* ``thompson.multiply`` along a fixed list of 40-letter words over x0, x1
+  and their inverses, letter by letter;
+* the PL round trip ``from_pl(to_pl(g))`` on the elements of those words.
 
 A row builds its input (tables, parsed trees and words, the x1 closure)
 when it is measured, outside the timing, so a run of a few rows builds
@@ -32,7 +34,8 @@ scaled to a reference host speed by bench/hostspeed.py, and a work counter:
 tree evaluations (the count EVALUATION_GUARD bounds) for the law search,
 tuples read for ``satisfies`` and the core check, elements for a status,
 BFS states (trees put on a search's frontier) for the rewrite rows,
-table entries for the group table, and elements for the PL rows.
+table entries for the group table, elements for the closure and the PL
+rows, powers for the power rows and products for the multiply row.
 
     python scripts/bench.py --quick --out BENCH.json
     python scripts/bench.py --quick --out BENCH.json --before PARENT/src
@@ -91,9 +94,11 @@ REWRITES = (
      "((. .) (((. .) (((. .) .) (. .))) .))", "(((. (. (. .))) (((. .) .) (. .))) .)", None),
     ("eventually_derivable", X1_LAW, "((. .) (. (. .)))", "((. (. .)) (. .))", 3),
 )
-# the half-power row's closure depth, as in the group benchmark, and the
-# round-trip row's words
+# the closure depth of the closure and half-power rows, as in the group
+# benchmark, the power rows' exponent, and the multiply and round-trip rows'
+# words
 CLOSURE_DEPTH = 3
+POWER = 120
 WORDS, LETTERS = 20, 40
 
 
@@ -268,6 +273,13 @@ def rows(assocf):
 
     def setup():
         x1 = thompson.generators()["x1"]
+        return lambda: len(rewriting.closure_generate([x1], CLOSURE_DEPTH))
+
+    params = {"closure": "x1", "depth": CLOSURE_DEPTH}
+    out.append(("rewriting.closure_generate", params, "elements", setup))
+
+    def setup():
+        x1 = thompson.generators()["x1"]
         members = list(rewriting.closure_generate([x1], CLOSURE_DEPTH))
 
         def halfpower():
@@ -279,12 +291,41 @@ def rows(assocf):
 
     params = {"closure": "x1", "depth": CLOSURE_DEPTH}
     out.append(("plmaps.stabilizes_halfpowers", params, "elements", setup))
+    for name in ("x0", "x1"):
 
-    def setup():
+        def setup(name=name):
+            g = thompson.generators()[name]
+
+            def power():
+                thompson.power(g, POWER)
+                return 1
+
+            return power
+
+        out.append(("thompson.power", {"element": name, "k": POWER}, "powers", setup))
+
+    def words():
         rng = random.Random(LETTERS)
         letters = ("x0", "x1", "x0^-1", "x1^-1")
-        words = [" * ".join(rng.choices(letters, k=LETTERS)) for _ in range(WORDS)]
-        elements = [thompson.parse_element(word) for word in words]
+        return [rng.choices(letters, k=LETTERS) for _ in range(WORDS)]
+
+    def setup():
+        letters = [[thompson.parse_element(a) for a in word] for word in words()]
+
+        def products():
+            for word in letters:
+                g = word[0]
+                for h in word[1:]:
+                    g = thompson.multiply(g, h)
+            return WORDS * (LETTERS - 1)
+
+        return products
+
+    params = {"words": WORDS, "letters": LETTERS}
+    out.append(("thompson.multiply", params, "products", setup))
+
+    def setup():
+        elements = [thompson.parse_element(" * ".join(word)) for word in words()]
 
         def round_trip():
             for g in elements:

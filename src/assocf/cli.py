@@ -275,10 +275,9 @@ def _cmd_magma(args):
             "ok", _status_payload(status), text=_format_status(status)
         )
     if args.action == "search":
-        laws = magmas.search_laws(m, args.arity)
-        payload = {"arity": args.arity, "laws": [format_law(law) for law in laws]}
-        text = "\n".join(format_law(law) for law in laws) or "no laws"
-        return CommandResult("ok", payload, text=text)
+        laws = [format_law(law) for law in magmas.search_laws(m, args.arity)]
+        payload = {"arity": args.arity, "laws": laws}
+        return CommandResult("ok", payload, text="\n".join(laws) or "no laws")
     if args.action == "centralizer":
         found = magmas.centralizer(m, tuple(args.names), args.zero)
         payload = {"zero": args.zero, "subset": args.names, "centralizer": sorted(found)}

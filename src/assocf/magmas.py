@@ -165,6 +165,14 @@ class Law:
         return format_law(self)
 
 
+def _law(lhs, rhs):
+    # A Law whose sides the caller knows to have equal leaf counts.
+    law = object.__new__(Law)
+    object.__setattr__(law, "lhs", lhs)
+    object.__setattr__(law, "rhs", rhs)
+    return law
+
+
 def format_law(law):
     return f"{trees.format_tree(law.lhs)} = {trees.format_tree(law.rhs)}"
 
@@ -675,7 +683,8 @@ def search_laws(m, n):
     if count > LAW_GUARD:
         raise BudgetExceeded(f"{count} laws of arity {n} exceed guard {LAW_GUARD}")
     pairs = sorted(p for c in classes for p in itertools.combinations(c, 2))
-    return tuple(Law(shapes[i], shapes[j]) for i, j in pairs)
+    # every side has n leaves, so no Law needs its leaf counts checked
+    return tuple(_law(shapes[i], shapes[j]) for i, j in pairs)
 
 
 def assoc_status(m, *, eventual_carets=6, arity_cap=None):

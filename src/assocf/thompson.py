@@ -59,12 +59,17 @@ def reduce_pair(p, q):
     on a stack and merges with the one below it while the two are sibling
     halves in both trees, which cancels their caret.  A stacked pair is
     compared once both entries are final, so no common caret is left, and
-    the reduced pair is unique.  A pair with nothing to cancel keeps its
-    trees, and with them any node sharing.
+    the reduced pair is unique.  A pair with no caret free at the same
+    leaves in both trees has nothing to cancel: it is returned as it is,
+    without the walk, and keeps its trees and with them any node sharing.
     """
-    p_leaves, q_leaves = trees.leaf_intervals(p), trees.leaf_intervals(q)
-    if len(p_leaves) != len(q_leaves):
+    p_free, p_count = trees.free_carets_and_leaves(p)
+    q_free, q_count = trees.free_carets_and_leaves(q)
+    if p_count != q_count:
         raise ValueError("tree pair must have equal leaf counts")
+    if not p_free & q_free:
+        return _checked(p, q)
+    p_leaves, q_leaves = trees.leaf_intervals(p), trees.leaf_intervals(q)
     stack = []
     for (pk, pd), (qk, qd) in zip(p_leaves, q_leaves):
         while stack:
@@ -74,8 +79,6 @@ def reduce_pair(p, q):
             stack.pop()
             pk, pd, qk, qd = lpk >> 1, pd - 1, lqk >> 1, qd - 1
         stack.append(((pk, pd), (qk, qd)))
-    if len(stack) == len(p_leaves):
-        return _checked(p, q)
     return _checked(
         trees.from_leaf_intervals(a for a, _ in stack),
         trees.from_leaf_intervals(b for _, b in stack),
@@ -108,22 +111,33 @@ def multiply(g, h):
     that many levels; past trees.PARSE_DEPTH_CAP carets it raises
     BudgetExceeded, since the tree routines recurse once per level.
     """
-    carets = g.leaves - 1, h.leaves - 1
-    if sum(carets) > trees.PARSE_DEPTH_CAP:
+    _check_carets(g.leaves - 1, h.leaves - 1)
+    return _product(g, _shapes(g), h, _shapes(h))
+
+
+def _check_carets(g_carets, h_carets):
+    if g_carets + h_carets > trees.PARSE_DEPTH_CAP:
         raise BudgetExceeded(
-            f"a product of {carets[0]} and {carets[1]} carets could nest "
+            f"a product of {g_carets} and {h_carets} carets could nest "
             f"deeper than {trees.PARSE_DEPTH_CAP} levels"
         )
+
+
+def _shapes(g):
+    # the preorder shapes of g's source and target; a shape of c carets has
+    # 2c + 1 entries
+    return trees.preorder_shape(g.source), trees.preorder_shape(g.target)
+
+
+def _product(g, g_shapes, h, h_shapes):
+    # multiply(g, h), given _shapes(g) and _shapes(h), for factors that
+    # passed _check_carets
     middle = trees.join(g.target, h.source)
-    source = _carry(g.source, g.target, middle)
-    target = _carry(h.target, h.source, middle)
+    # each outer tree gets the subtrees that middle hangs under its
+    # partner's leaves
+    source = trees.graft(g_shapes[0], trees.capture(g_shapes[1], middle))
+    target = trees.graft(h_shapes[1], trees.capture(h_shapes[0], middle))
     return reduce_pair(source, target)
-
-
-def _carry(tree, partner, middle):
-    # tree with the subtrees that middle hangs under partner's leaves
-    under = trees.capture(trees.preorder_shape(partner), middle)
-    return trees.graft(trees.preorder_shape(tree), under)
 
 
 def invert(g):

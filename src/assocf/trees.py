@@ -198,6 +198,11 @@ def replace_at(t, address, sub):
 
 def free_carets(t):
     """Leaf indices i such that leaves i and i+1 are children of one node."""
+    return free_carets_and_leaves(t)[0]
+
+
+def free_carets_and_leaves(t):
+    """(free_carets(t), leaf_count(t)), from one walk."""
     found = set()
 
     def walk(t, offset):
@@ -210,8 +215,7 @@ def free_carets(t):
         nl = walk(left, offset)
         return nl + walk(right, offset + nl)
 
-    walk(t, 0)
-    return found
+    return found, walk(t, 0)
 
 
 def remove_caret(t, i):

@@ -696,7 +696,10 @@ def test_law_guard_counts_the_laws_before_building_them(builtins, monkeypatch):
     # z4 is associative: its 5 four-leaf trees share one class, C(5, 2) laws
     z4 = builtins["z4_addition"]
     built = []
-    monkeypatch.setattr(magmas, "Law", lambda *sides: built.append(sides) or Law(*sides))
+    unchecked = magmas._law  # the constructor search_laws builds its laws with
+    monkeypatch.setattr(
+        magmas, "_law", lambda *sides: built.append(sides) or unchecked(*sides)
+    )
     monkeypatch.setattr(magmas, "LAW_GUARD", 10)
     assert len(search_laws(z4, 4)) == 10
     built.clear()
@@ -704,6 +707,15 @@ def test_law_guard_counts_the_laws_before_building_them(builtins, monkeypatch):
     with pytest.raises(BudgetExceeded, match=r"^10 laws of arity 4 exceed guard 9$"):
         search_laws(z4, 4)
     assert built == []
+
+
+def test_search_laws_builds_laws_equal_to_checked_ones(builtins):
+    # the search skips the leaf recount; the public constructor keeps it
+    laws = search_laws(builtins["z4_addition"], 4)
+    assert laws == tuple(Law(law.lhs, law.rhs) for law in laws)
+    assert {law.arity for law in laws} == {4}
+    with pytest.raises(ValueError, match="^law sides must have equal leaf counts$"):
+        Law(laws[0].lhs, trees.LEAF)
 
 
 def test_law_guard_passes_arity_9_and_stops_arity_10():

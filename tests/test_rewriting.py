@@ -20,6 +20,7 @@ from assocf.magmas import (
     format_law,
     parse_law,
 )
+from assocf.plmaps import compose_pl, from_pl, to_pl
 from assocf.rewriting import (
     LEAF_CAP,
     RewriteStep,
@@ -631,6 +632,60 @@ def test_closure_keeps_one_node_per_distinct_subtree(monkeypatch):
     assert len(members) == 6505
     kept = nodes(t for g in members for t in (g.source, g.target))
     assert len(kept) == len(set(kept.values()))
+
+
+def pl_closure(generators, depth):
+    """closure_generate as it is specified, with every product taken in the
+    PL model: g*h acts as g first, then h."""
+    words = [
+        "".join(w) for n in range(depth + 1) for w in itertools.product("01", repeat=n)
+    ]
+    seeds = {th.IDENTITY}
+    for g in generators:
+        for word in words:
+            seeds |= {shift_at_vertex(g, word), shift_at_vertex(th.invert(g), word)}
+    current = seeds
+    for _ in range(depth - 1):
+        current = {
+            from_pl(compose_pl(to_pl(b), to_pl(a))) for a in current for b in seeds
+        }
+    return current
+
+
+short_words = st.lists(
+    st.lists(st.sampled_from(["x0", "x1", "x0^-1", "x1^-1"]), min_size=1, max_size=3),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(max_examples=10)
+@given(short_words)
+def test_closure_matches_the_closure_by_pl_products(words):
+    generators = [th.parse_word(" * ".join(word)) for word in words]
+    assert closure_generate(generators, 2) == pl_closure(generators, 2)
+
+
+def test_closure_shares_each_element_once(monkeypatch):
+    # the seeds but the identity, then each new product: a product the
+    # level already holds is not rebuilt
+    shared = []
+    share = th.share
+    monkeypatch.setattr(th, "share", lambda g: shared.append(g) or share(g))
+    members = closure_generate([GENS["x1"]], 3)
+    assert len(shared) == len(members) - 1 == 6504
+    assert set(shared) == members - {th.IDENTITY}
+
+
+def test_closure_keeps_the_caret_cap_of_multiply():
+    # a generator of 260 carets: two of its seeds pass the 500-caret cap
+    left_comb = trees.LEAF
+    for _ in range(260):
+        left_comb = (left_comb, trees.LEAF)
+    g = th.FElement(left_comb, right_comb(261))
+    assert len(closure_generate([g], 1)) == 7
+    with pytest.raises(BudgetExceeded, match="carets could nest deeper than 500 levels$"):
+        closure_generate([g], 2)
 
 
 @pytest.mark.parametrize("depth", [-1, -2])

@@ -68,6 +68,11 @@ def test_bench_measures_one_row():
     # the PL round trip runs over its 20 fixed words
     trip = rows["plmaps.round_trip", json.dumps({"words": 20, "letters": 40})]()
     assert script.measure({"after": trip}, 1, clock)["after"]["work"] == 20
+    # the multiply row folds each word letter by letter
+    fold = rows["thompson.multiply", json.dumps({"words": 20, "letters": 40})]()
+    assert script.measure({"after": fold}, 1, clock)["after"]["work"] == 20 * 39
+    power = rows["thompson.power", json.dumps({"element": "x1", "k": 120})]()
+    assert script.measure({"after": power}, 1, clock)["after"]["work"] == 1
 
 
 def test_halfpower_separation_finds_the_moved_halfpower(capsys):

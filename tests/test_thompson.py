@@ -90,6 +90,21 @@ def test_reduce_pair_matches_caret_by_caret_cancellation(n, seed, letters):
     assert reduce_pair(p, q) == reference_reduce(p, q)
 
 
+@given(elements)
+def test_reduce_pair_returns_a_reduced_pair_as_given(g):
+    # no common free caret: the very trees come back, with their node
+    # sharing, and no leaf-interval walk is made
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees, "leaf_intervals", None)
+        reduced = reduce_pair(g.source, g.target)
+    assert reduced.source is g.source and reduced.target is g.target
+
+
+def test_reduce_pair_requires_equal_leaf_counts():
+    with pytest.raises(ValueError, match="^tree pair must have equal leaf counts$"):
+        reduce_pair(trees.parse_tree("(. .)"), trees.parse_tree("((. .) .)"))
+
+
 # --- group axioms ---------------------------------------------------------------
 
 
