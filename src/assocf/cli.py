@@ -268,9 +268,7 @@ def _cmd_magma(args):
             text=f"solvable: depth {witness.depth} tree is constant {witness.zero}",
         )
     if args.action == "status":
-        status = magmas.assoc_status(
-            m, eventual_carets=args.budget, arity_cap=args.arity_cap
-        )
+        status = magmas.assoc_status(m, eventual_carets=args.budget)
         return CommandResult(
             "ok", _status_payload(status), text=_format_status(status)
         )
@@ -452,7 +450,6 @@ def build_parser():
         default=6,
         help="largest five-variable-law witness, in added carets, to report",
     )
-    sub.add_argument("--arity-cap", type=int, default=None)
     _add_common(sub)
     sub = magma.add_parser("search")
     sub.add_argument("file")

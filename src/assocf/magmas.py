@@ -104,26 +104,14 @@ class Magma:
         return self.elements[int(self.table[self.index(x), self.index(y)])]
 
     @cached_property
-    def simply_perfect(self):
-        # surjective operation: every element is some product
-        return len(np.unique(self.table)) == len(self.elements)
-
-    @cached_property
-    def left_identities(self):
-        # row i is the identity map
-        rows = (self.table == np.arange(len(self.elements))).all(axis=1)
-        return tuple(self.elements[i] for i in np.flatnonzero(rows))
-
-    @cached_property
-    def right_identities(self):
-        # column j is the identity map
-        cols = (self.table == np.arange(len(self.elements))[:, None]).all(axis=0)
-        return tuple(self.elements[j] for j in np.flatnonzero(cols))
-
-    @property
     def two_sided_identity(self):
-        both = set(self.left_identities) & set(self.right_identities)
-        return min(both, key=self.index) if both else None
+        # row e and column e are the identity map; at most one e is, since
+        # e = e op f = f for any two
+        ids = np.arange(len(self.elements))
+        rows = (self.table == ids).all(axis=1)
+        cols = (self.table == ids[:, None]).all(axis=0)
+        found = np.flatnonzero(rows & cols)
+        return self.elements[found[0]] if len(found) else None
 
     @cached_property
     def associativity(self):
@@ -315,6 +303,14 @@ def _product_image(table, left, right):
     return tuple(int(v) for v in np.unique(table[np.ix_(left, right)]))
 
 
+def _check_indexable(sizes, prefix_vars):
+    # blocks index the combos of the leading variables with numpy's intp
+    if math.prod(sizes[:prefix_vars]) > np.iinfo(np.intp).max:
+        raise BudgetExceeded(
+            f"block indices over {sizes[0]}^{len(sizes)} tuples do not fit numpy's intp"
+        )
+
+
 def _layout(domains, budget):
     """Blocks of at most `budget` tuples over `domains`, the sorted index
     array of each variable.  The trailing variables whose joint size fits
@@ -326,6 +322,7 @@ def _layout(domains, budget):
     prefix_vars = len(sizes) - 1
     while prefix_vars and math.prod(sizes[prefix_vars - 1 :]) <= budget:
         prefix_vars -= 1
+    _check_indexable(sizes, prefix_vars)
     combos = math.prod(sizes[:prefix_vars])
     step = max(1, budget // math.prod(sizes[prefix_vars:]))
     return prefix_vars, range(0, combos, step)
@@ -347,6 +344,7 @@ def _growing_blocks(domains, start, cap):
         fit = next(w for w in widths if w <= size)
         end = min((pos + size) // fit * fit, widths[0])
         p = next(p for p, w in enumerate(widths) if pos % w == end % w == 0)
+        _check_indexable(sizes, p)
         yield p, pos // widths[p], end // widths[p]
         pos, size = end, min(2 * size, cap)
 
@@ -687,7 +685,7 @@ def search_laws(m, n):
     return tuple(_law(shapes[i], shapes[j]) for i, j in pairs)
 
 
-def assoc_status(m, *, eventual_carets=6, arity_cap=None):
+def assoc_status(m, *, eventual_carets=6):
     """Cascade classifier for the stable-associativity group of a magma.
 
     Associative or solvable certifies the full group; a two-sided identity
@@ -695,19 +693,15 @@ def assoc_status(m, *, eventual_carets=6, arity_cap=None):
     variable law holding after some expansion certifies containing the
     commutator subgroup (on the nose when its caret-minimal expansion is
     empty, else with that expansion, reported when it has at most
-    `eventual_carets` carets); failing all that, law search up to
-    `arity_cap` (by default 6 up to 4 elements, 4 up to 60, else 3)
+    `eventual_carets` carets); failing all that, law search up to an
+    arity set by the table's size (6 up to 4 elements, 4 up to 60, else 3)
     reports either exhaustion bounds or the laws it found.  Unknown never
     claims triviality: that would need no-law-at-every-arity, which bounded
-    search cannot certify.
+    search cannot certify.  The arity rule keeps the search inside both
+    guards: at most 5 * 60^4 evaluations and C(42, 2) laws.
     """
     if eventual_carets < 0:
         raise ValueError(f"caret budget must be >= 0, got {eventual_carets}")
-    if arity_cap is None:
-        # small tables afford deeper arities
-        arity_cap = 6 if len(m) <= 4 else 4 if len(m) <= 60 else 3
-    if arity_cap < 2:
-        raise ValueError(f"law arity cap must be >= 2, got {arity_cap}")
     assoc = m.associativity
     if assoc:
         return AssocStatus("full_f", "associative", {"law": assoc.law})
@@ -746,14 +740,16 @@ def assoc_status(m, *, eventual_carets=6, arity_cap=None):
             "fvl-at-expansion",
             {"law": fvl, "expansion": eventual.witness},
         )
-    # the only law of arity 3 is associativity, which fails here
-    for arity in range(4, arity_cap + 1):
+    # the only law of arity 3 is associativity, which fails here; small
+    # tables afford deeper arities
+    deepest = 6 if len(m) <= 4 else 4 if len(m) <= 60 else 3
+    for arity in range(4, deepest + 1):
         laws = search_laws(m, arity)
         if laws:
             return AssocStatus(
                 "unknown", "laws-found", {"laws": laws, "searched_up_to": arity}
             )
-    return AssocStatus("no_law_up_to", "law-search-exhausted", {"arity": arity_cap})
+    return AssocStatus("no_law_up_to", "law-search-exhausted", {"arity": deepest})
 
 
 def load_magma(text):

@@ -61,9 +61,6 @@ class VarietyPresentation:
             tuple(Law(g.source, g.target) for g in elements)
         )
 
-    def __len__(self):
-        return len(self.laws)
-
 
 def load_variety(text):
     """One law per line; '#' comments and blank lines are skipped."""

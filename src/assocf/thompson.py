@@ -229,9 +229,7 @@ def normal_membership(g, spec):
         return g == IDENTITY
     big_m, big_n = abelianize(g)
     if m == 0:
-        if big_m != 0:
-            return False
-        return big_n == 0 if n == 0 else big_n % n == 0
+        return big_m == 0 and big_n % n == 0
     if big_m % m != 0:
         return False
     a = big_m // m
@@ -248,6 +246,12 @@ _nonletter = frozenset("*^[](),")
 # 1 ms on a 2-vCPU Xeon under Python 3.11; depth is bounded by multiply.
 EXPONENT_CAP = 200
 
+# Deepest nesting of '(' and '[' parse_word accepts.  The parser recurses
+# once per level, and a product made at the innermost level recurses up to
+# trees.PARSE_DEPTH_CAP (500) levels through the tree routines, so this
+# leaves 200 of Python's default 1000 frames to the callers.
+WORD_DEPTH_CAP = 300
+
 
 def parse_word(text):
     """Parse a word over x0, x1, x2, c0, c1.
@@ -256,7 +260,8 @@ def parse_word(text):
     conjugates by another element, '[g,h]' is the commutator, and
     parentheses group.  '^' binds tighter than '*'.  An exponent beyond
     EXPONENT_CAP in absolute value raises BudgetExceeded before its power
-    is computed.
+    is computed, and a '(' or '[' deeper than WORD_DEPTH_CAP before its
+    group is read.
     """
     gens = generators()
     pos = 0
@@ -271,6 +276,12 @@ def parse_word(text):
         skip_ws()
         return text[pos] if pos < n else ""
 
+    def expect(ch, message):
+        nonlocal pos
+        if peek() != ch:
+            raise ParseError(message, pos)
+        pos += 1
+
     def parse_int():
         nonlocal pos
         skip_ws()
@@ -283,64 +294,59 @@ def parse_word(text):
             raise ParseError("expected an integer exponent", start)
         return int(text[start:pos])
 
-    def parse_atom():
+    def parse_expr(depth):
+        # expr := factor ('*' factor)*, factor := atom ('^' (int | atom))*.
+        # Every atom, a conjugating one too, is read in this loop, so only a
+        # group recurses: one frame per level of nesting.
         nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise ParseError("unexpected end of word", pos)
-        ch = text[pos]
-        if ch == "(":
-            pos += 1
-            inner = parse_expr()
-            if peek() != ")":
-                raise ParseError("expected ')'", pos)
-            pos += 1
-            return inner
-        if ch == "[":
-            pos += 1
-            left = parse_expr()
-            if peek() != ",":
-                raise ParseError("expected ',' in commutator", pos)
-            pos += 1
-            right = parse_expr()
-            if peek() != "]":
-                raise ParseError("expected ']'", pos)
-            pos += 1
-            return commutator(left, right)
-        start = pos
-        while pos < n and not text[pos].isspace() and text[pos] not in _nonletter:
-            pos += 1
-        name = text[start:pos]
-        if name not in gens:
-            raise ParseError(f"unknown generator {name!r}", start)
-        return gens[name]
-
-    def parse_factor():
-        nonlocal pos
-        value = parse_atom()
-        while peek() == "^":
-            pos += 1
+        product = factor = None
+        while True:
             skip_ws()
-            if pos < n and (text[pos].isdigit() or text[pos] in "+-"):
+            if pos >= n:
+                raise ParseError("unexpected end of word", pos)
+            opener = text[pos]
+            if opener in "([":
+                if depth == WORD_DEPTH_CAP:
+                    raise BudgetExceeded(
+                        f"word nests deeper than {WORD_DEPTH_CAP} levels"
+                    )
+                pos += 1
+                atom = parse_expr(depth + 1)
+                if opener == "[":
+                    expect(",", "expected ',' in commutator")
+                    right = parse_expr(depth + 1)
+                    expect("]", "expected ']'")
+                    atom = commutator(atom, right)
+                else:
+                    expect(")", "expected ')'")
+            else:
+                start = pos
+                while pos < n and not (text[pos].isspace() or text[pos] in _nonletter):
+                    pos += 1
+                name = text[start:pos]
+                if name not in gens:
+                    raise ParseError(f"unknown generator {name!r}", start)
+                atom = gens[name]
+            factor = atom if factor is None else conjugate(factor, atom)
+            while peek() == "^":
+                pos += 1
+                skip_ws()
+                if not (pos < n and (text[pos].isdigit() or text[pos] in "+-")):
+                    break  # the next atom conjugates the factor
                 k = parse_int()
                 if abs(k) > EXPONENT_CAP:
                     raise BudgetExceeded(
                         f"exponent {k} exceeds the cap of {EXPONENT_CAP}"
                     )
-                value = power(value, k)
+                factor = power(factor, k)
             else:
-                value = conjugate(value, parse_atom())
-        return value
+                product = factor if product is None else multiply(product, factor)
+                factor = None
+                if peek() != "*":
+                    return product
+                pos += 1
 
-    def parse_expr():
-        value = parse_factor()
-        while peek() == "*":
-            nonlocal pos
-            pos += 1
-            value = multiply(value, parse_factor())
-        return value
-
-    out = parse_expr()
+    out = parse_expr(0)
     skip_ws()
     if pos != n:
         raise ParseError("trailing input after word", pos)

@@ -50,6 +50,15 @@ def expand_both(law, word):
     return Law(word.apply(law.lhs), word.apply(law.rhs))
 
 
+def one_sided_identities(m):
+    """(left, right): the elements whose row, or column, is the identity
+    map, read product by product."""
+    names = list(m.elements)
+    left = tuple(x for x in names if [m.op(x, y) for y in names] == names)
+    right = tuple(y for y in names if [m.op(x, y) for x in names] == names)
+    return left, right
+
+
 def right_comb(n):
     t = ()
     for _ in range(n - 1):

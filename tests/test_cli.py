@@ -24,6 +24,7 @@ from conftest import random_tree
 
 from assocf import cli
 from assocf.magmas import five_variable_law, format_law, load_magma
+from assocf.thompson import WORD_DEPTH_CAP
 from assocf.trees import PARSE_DEPTH_CAP, format_tree
 from assocf.zoo import BUILTINS
 
@@ -114,16 +115,6 @@ def test_budget_error_in_json_mode(capsys):
     parsed = json.loads(out)
     assert parsed["status"] == "error"
     assert "guard" in parsed["payload"]["error"]
-
-
-def test_status_past_the_law_search_guard_exits_3(capsys):
-    # at arity 9, 1430 trees on 4^9 tuples exceed the guard; the sweeps of
-    # arities 3-8 before it take well under a second
-    code, out = run_capture(
-        ["magma", "status", "fixtures/pre_sl2.magma", "--arity-cap", "15"], capsys
-    )
-    assert code == 3
-    assert out.startswith("budget exhausted: 1430 trees on 4^9 tuples = 374865920 ")
 
 
 def test_search_under_the_guard_answers(capsys):
@@ -311,13 +302,6 @@ def test_images_of_large_trees_answer_in_bounded_memory(tree, json_flag, capsys)
         assert out.startswith("60 elements: ")
 
 
-@pytest.mark.parametrize("cap", ["-1", "0", "1"])
-def test_law_arity_cap_below_2_exits_2(cap, capsys):
-    argv = ["magma", "status", "fixtures/s4.magma", "--arity-cap", cap]
-    code, out = run_capture(argv, capsys)
-    assert (code, out) == (2, f"error: law arity cap must be >= 2, got {cap}\n")
-
-
 @pytest.mark.parametrize(
     "argv,message",
     [(["fixtures/x1_law.variety", "-1"], "closure depth must be >= 0, got -1")],
@@ -356,8 +340,9 @@ def test_a_closure_past_its_guard_exits_3_at_once(json_flag, capsys):
             "((. .) (. (. .)))", "((. (. .)) (. .))", "--prune",
         ],
         ["magma", "search", "fixtures/s4.magma", "5", "--force"],
+        ["magma", "status", "fixtures/pre_sl2.magma", "--arity-cap", "4"],
     ],
-    ids=["threads", "cap", "word-cap", "ab", "prune", "force"],
+    ids=["threads", "cap", "word-cap", "ab", "prune", "force", "arity-cap"],
 )
 def test_removed_flags_are_usage_errors(argv, capsys):
     code, captured = cli.run(argv), capsys.readouterr()
@@ -387,6 +372,54 @@ def test_a_power_of_a_power_too_deep_to_build_exits_3(capsys):
     )
     code, out = run_capture(["f", "word", "(x0^200)^2"], capsys)
     assert code == 0 and out.startswith("pair ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["f", "word", "(" * 330 + "x0" + ")" * 330],
+        ["f", "word", "[x0," * 330 + "x1" + "]" * 330],
+        ["variety", "member", "fixtures/x1_law.variety", "(" * 330 + "x0" + ")" * 330],
+    ],
+    ids=["parentheses", "commutators", "member"],
+)
+def test_a_word_nested_past_the_cap_exits_3(argv, capsys):
+    code, captured = cli.run(argv), capsys.readouterr()
+    assert code == 3
+    message = f"word nests deeper than {WORD_DEPTH_CAP} levels"
+    assert captured.out == f"budget exhausted: {message}\n"
+    assert captured.err == ""
+
+
+# ---------------------------------------------------------------------------
+# sweeps past numpy's index type
+
+
+def comb_law(n):
+    """Right comb = left comb, on n leaves."""
+    right, left = ".", "."
+    for _ in range(n - 1):
+        right, left = f"(. {right})", f"({left} .)"
+    return f"{right} = {left}"
+
+
+@pytest.mark.parametrize("action", ["check", "eventual"])
+def test_a_sweep_whose_block_indices_overflow_exits_3(action, capsys):
+    argv = ["magma", action, "fixtures/s4.magma", comb_law(38)]
+    code, captured = cli.run(argv), capsys.readouterr()
+    assert (code, captured.err) == (3, "")
+    assert captured.out == (
+        "budget exhausted: block indices over 4^38 tuples do not fit numpy's intp\n"
+    )
+
+
+def test_a_sweep_at_36_leaves_still_answers(capsys):
+    argv = ["magma", "eventual", "fixtures/s4.magma", comb_law(36)]
+    assert run_capture(argv, capsys) == (
+        0, "never holds (exact: fails on the derived core)\n"
+    )
+    code, out = run_capture(["magma", "check", *argv[2:]], capsys)
+    assert (code, out) == (0, f"fails at ({'1, ' * 35}a): c != b\n")
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +477,19 @@ DEEP_TREES = st.integers(PARSE_DEPTH_CAP - 1, PARSE_DEPTH_CAP + 1).map(
 )
 SHALLOW_TREES = GOOD_TREES | BAD_TREES
 TREES = GOOD_TREES | BAD_TREES | DEEP_TREES
+# nested to one level either side of the cap, around a plain or a commutator
+DEEP_WORDS = st.builds(
+    lambda depth, wrap: wrap[0] * depth + wrap[1] + wrap[2] * depth,
+    st.integers(WORD_DEPTH_CAP - 1, WORD_DEPTH_CAP + 1),
+    st.sampled_from([("(", "x0", ")"), ("[x0,", "x1", "]"), ("[", "x0", ",x1]")]),
+)
 WORDS = st.lists(
     st.tuples(st.sampled_from(["x0", "x1", "x2"]), st.integers(-3, 3)),
     min_size=1,
     max_size=4,
 ).map(lambda factors: "*".join(f"{g}^{e}" for g, e in factors)) | st.sampled_from(
     ["[x0,x1]", "x0 +", "x9", "x0^", "[x0", "", "pair (. .) (. .)", "pair (. .)"]
-)
+) | DEEP_WORDS
 BUDGETS = st.integers(-3, 2).map(str)
 SMALL_INTS = st.integers(-2, 5).map(str)
 MAGMAS = st.sampled_from(
@@ -467,7 +506,7 @@ VARIETIES = st.sampled_from(
 )
 LAWS = st.sampled_from(
     [ASSOC, "(. ((. .) .)) = (. (. (. .)))", "(. .) = .", "((. .) .) =", "= ."]
-)
+) | st.integers(38, 40).map(comb_law)
 TOKENS = st.sampled_from(
     ["tree", "f", "magma", "variety", "zoo", "parse", "word", "--budget", "-1",
      "--json", "(. .)", "x0", "fixtures/s4.magma", "status", "member", "--cap"]

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import expand_both, random_magma, random_tree
+from conftest import (
+    expand_both,
+    one_sided_identities,
+    random_magma,
+    random_tree,
+    right_comb,
+)
 
 from assocf import magmas, rewriting, trees, zoo
 from assocf.errors import BudgetExceeded, ParseError
@@ -377,7 +383,7 @@ def test_fvl_on_the_nose_follows_the_witness_not_surjectivity():
     # of the law read their last variable through the same two steps: it
     # holds on the nose although the table is not simply perfect
     m = load_magma("a b c\nb c b\nb c b\nb c b\n")
-    assert not m.simply_perfect
+    assert derived_chain(m).sizes != (len(m),)
     assert satisfies(m, five_variable_law()).holds
     assert satisfies_eventually(m, five_variable_law()).witness == trees.ExpansionWord()
     status = assoc_status(m)
@@ -393,7 +399,7 @@ def test_eventual_for_associativity_of_s3_commutator(builtins):
 def test_eventual_decided_by_perfection(builtins):
     # surjective: the derived core is the whole table, so the law decides
     pre = builtins["pre_sl2"]
-    assert pre.simply_perfect
+    assert derived_chain(pre).sizes == (len(pre),)
     res = satisfies_eventually(pre, associative_law())
     assert res.kind == "never"
     assert not res.holds
@@ -508,7 +514,7 @@ def test_shortcut_agrees_with_direct_on_surjective_tables(seed, law):
     perm = gen.permutation(size)
     rows = [np.roll(perm, k) for k in range(size)]
     m = Magma(tuple(f"g{i}" for i in range(size)), np.array(rows)[gen.permutation(size)])
-    assert m.simply_perfect
+    assert derived_chain(m).sizes == (size,)
     # on a surjective table every image is S: the law decides on the nose
     res = satisfies_eventually(m, law)
     direct = satisfies(m, law)
@@ -520,8 +526,7 @@ def test_shortcut_agrees_with_direct_on_surjective_tables(seed, law):
 
 def test_identity_detectors(builtins):
     s4 = builtins["s4"]
-    assert s4.right_identities == ("1",)
-    assert s4.left_identities == ()
+    assert one_sided_identities(s4) == ((), ("1",))
     assert s4.two_sided_identity is None
     oct_ = builtins["octonion_units"]
     assert oct_.two_sided_identity == "e0"
@@ -539,19 +544,24 @@ def test_identities_match_a_per_row_oracle(m, rows, cols):
     for j in cols:
         table[:, j % size] = range(size)
     m = Magma(m.elements, table)
-    names = list(m.elements)
-    left = tuple(x for x in names if [m.op(x, y) for y in names] == names)
-    right = tuple(y for y in names if [m.op(x, y) for x in names] == names)
-    assert (m.left_identities, m.right_identities) == (left, right)
+    left, right = one_sided_identities(m)
+    both = set(left) & set(right)
+    # e = e op f = f for two two-sided identities e and f
+    assert len(both) <= 1
+    assert m.two_sided_identity == (both.pop() if both else None)
 
 
 def test_simply_perfect_flags(builtins):
-    assert builtins["pre_sl2"].simply_perfect
-    assert builtins["s4"].simply_perfect
-    assert builtins["octonion_units"].simply_perfect
-    assert builtins["a5_commutator"].simply_perfect
-    assert not builtins["sl2_signed_basis"].simply_perfect
-    assert not builtins["s3_commutator"].simply_perfect
+    # a surjective operation: the derived chain stops at S
+    def onto(name):
+        return derived_chain(builtins[name]).sizes == (len(builtins[name]),)
+
+    assert onto("pre_sl2")
+    assert onto("s4")
+    assert onto("octonion_units")
+    assert onto("a5_commutator")
+    assert not onto("sl2_signed_basis")
+    assert not onto("s3_commutator")
 
 
 def test_derived_chains(builtins):
@@ -993,36 +1003,56 @@ def test_default_arity_cap_falls_with_table_size(builtins):
     assert (at_60.reason, at_60.evidence["searched_up_to"]) == ("laws-found", 4)
     at_64 = assoc_status(direct_product(s4, zoo.cyclic_addition(16)))
     assert (at_64.kind, at_64.evidence) == ("no_law_up_to", {"arity": 3})
-    capped = assoc_status(s4, arity_cap=3)
-    assert (capped.kind, capped.evidence) == ("no_law_up_to", {"arity": 3})
 
 
 def test_status_skips_the_arity_3_search_and_names_the_cap(builtins, monkeypatch):
     # the only arity-3 law is associativity, which fails before the law
-    # search; the evidence still reads the cap, 2 included
+    # search; the evidence reads the cap, 6 on four elements
     searched = []
     search = magmas.search_laws
     monkeypatch.setattr(
         magmas, "search_laws", lambda m, n: searched.append(n) or search(m, n)
     )
-    for cap in (2, 3, 4):
-        status = assoc_status(builtins["pre_sl2"], arity_cap=cap)
-        assert (status.kind, status.evidence) == ("no_law_up_to", {"arity": cap})
-    assert searched == [4]
+    status = assoc_status(builtins["pre_sl2"])
+    assert (status.kind, status.evidence) == ("no_law_up_to", {"arity": 6})
+    assert searched == [4, 5, 6]
 
 
 @pytest.mark.parametrize(
     "limits,message",
-    [
-        ({"eventual_carets": -1}, "caret budget must be >= 0, got -1"),
-        ({"arity_cap": 1}, "law arity cap must be >= 2, got 1"),
-        # the caret budget is checked first
-        ({"eventual_carets": -2, "arity_cap": 0}, "caret budget must be >= 0, got -2"),
-    ],
+    [({"eventual_carets": -1}, "caret budget must be >= 0, got -1")],
 )
 def test_status_checks_its_limits(builtins, limits, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         assoc_status(builtins["z4_addition"], **limits)
+
+
+def test_status_takes_no_arity_cap(builtins):
+    # the law-search depth is the size rule alone; `magma search` picks one
+    with pytest.raises(TypeError, match="arity_cap"):
+        assoc_status(builtins["pre_sl2"], arity_cap=4)
+
+
+def comb_law(n):
+    return Law(right_comb(n), trees.reflect(right_comb(n)))
+
+
+@pytest.mark.parametrize(
+    "table,check",
+    [
+        ("s4", satisfies),
+        # s4 is onto: the eventual check partitions S^38 itself
+        ("s4", satisfies_eventually),
+        # the law holds on s3_commutator's one-element core, so every
+        # product of images is swept, 6^38 tuples
+        ("s3_commutator", satisfies_eventually),
+    ],
+    ids=["satisfies", "partition", "holding-tuples"],
+)
+def test_sweeps_past_numpys_index_type_exit_as_budget(builtins, table, check):
+    message = rf"^block indices over {len(builtins[table])}\^38 tuples "
+    with pytest.raises(BudgetExceeded, match=message):
+        check(builtins[table], comb_law(38))
 
 
 def test_status_reports_a_witness_within_the_caret_budget():

@@ -57,7 +57,7 @@ tree_strategy = st.integers(1, 6).flatmap(
 def test_presentation_validates_laws():
     with pytest.raises(TypeError):
         VarietyPresentation(("not a law",))
-    assert len(X1_VARIETY) == 1
+    assert len(X1_VARIETY.laws) == 1
 
 
 def test_presentation_from_elements():

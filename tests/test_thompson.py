@@ -278,6 +278,33 @@ def test_exponents_past_the_cap_stop_before_any_multiply(monkeypatch, k):
     assert calls == []
 
 
+def nested_word(opener, depth):
+    if opener == "(":
+        return "(" * depth + "x0" + ")" * depth
+    return "[x0," * depth + "x1" + "]" * depth
+
+
+def test_words_nest_to_the_depth_cap():
+    cap = th.WORD_DEPTH_CAP
+    assert parse_word(nested_word("(", cap)) == GENS["x0"]
+    # the parser spends one frame a level, so a product as deep as multiply
+    # allows still fits under the innermost group
+    deep = "(" * cap + "x0^200 * x0^200" + ")" * cap
+    assert parse_word(deep) == power(GENS["x0"], 400)
+    # nested commutators outgrow multiply's cap long before the word's
+    with pytest.raises(BudgetExceeded, match="carets could nest deeper"):
+        parse_word(nested_word("[", cap))
+
+
+@pytest.mark.parametrize("opener", ["(", "["])
+def test_words_past_the_depth_cap_stop_before_any_product(monkeypatch, opener):
+    calls = []
+    monkeypatch.setattr(th, "multiply", lambda g, h: calls.append(1))
+    with pytest.raises(BudgetExceeded, match=f"deeper than {th.WORD_DEPTH_CAP} "):
+        parse_word(nested_word(opener, th.WORD_DEPTH_CAP + 1))
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "text", ["pair . (. .)", "pair (. .)", "pair x y", "tree . ."]
 )
