@@ -352,6 +352,17 @@ def test_removed_flags_are_usage_errors(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("cap", ["-1", "0", "1"])
+def test_law_arity_cap_is_a_usage_error(cap, capsys):
+    # the caps the old >= 2 check refused with exit 2 now stop at the parser
+    argv = ["magma", "status", "fixtures/s4.magma", "--arity-cap", cap]
+    code, captured = cli.run(argv), capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: unrecognized arguments: --arity-cap")
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # exponent cap
 
