@@ -6,7 +6,8 @@ Times eleven kinds of row, each over several repeats:
 
 * ``search_laws`` by table size and arity, on cyclic groups (associative:
   every tree stays in one class, so the whole space is swept) and on seeded
-  random tables (the trees part within the first blocks);
+  random tables (the trees part within the first blocks), and at arity 4
+  on a5_commutator, as its status searches it, from an empty level store;
 * ``satisfies`` of associativity on a5_commutator, which stops at an early
   counterexample, and on the cyclic group of 60 elements, which sweeps the
   whole space;
@@ -32,6 +33,8 @@ only theirs.
 Each row records its parameters, the median and min wall time, raw and
 scaled to a reference host speed by bench/hostspeed.py, and a work counter:
 tree evaluations (the count EVALUATION_GUARD bounds) for the law search,
+but level values built (those of the trees below the top arity) for the
+a5_commutator search,
 tuples read for ``satisfies`` and the core check, elements for a status,
 BFS states (trees put on a search's frontier) for the rewrite rows,
 table entries for the group table, elements for the closure and the PL
@@ -81,6 +84,8 @@ SEARCHES = (
     ("random", 13, 4),
     ("random", 60, 4),
 )
+# the arity of the a5_commutator search, the one its status makes
+A5_ARITY = 4
 X1_LAW = "(. ((. .) .)) = (. (. (. .)))"
 COMB_9 = "(. (. (. (. (. (. (. (. .))))))))"
 # (name, law, lhs, rhs, budget or None for derivable).  The x1 class of a
@@ -154,6 +159,39 @@ def tuples_read(magmas, sweep):
     return sum(read)
 
 
+def level_values(magmas, m, n):
+    """Search m, whose level store is empty, at arity n and count the values
+    of the levels below n that the search builds: the whole levels it leaves
+    in m's store, and the
+    columns a small block joins for itself through magmas._joined.  Sources
+    with no level store build every level from 2 to n - 1 whole through
+    magmas._levels."""
+    built = []
+    if hasattr(magmas, "_joined"):
+        name, original = "_joined", magmas._joined
+
+        def counted(store, k, *block):
+            rows = original(store, k, *block)
+            if k < n:
+                built.append(rows.size)
+            return rows
+
+    else:
+        name, original = "_levels", magmas._levels
+
+        def counted(table, top):
+            levels = original(table, top)
+            built.extend(level.size for level in levels[2:])
+            return levels
+
+    setattr(magmas, name, counted)
+    try:
+        magmas.search_laws(m, n)
+    finally:
+        setattr(magmas, name, original)
+    return sum(built) + sum(level.size for level in getattr(m, "_levels", ())[2:])
+
+
 def bfs_states(rewriting, search):
     """Run search() and count the trees its breadth-first searches put on
     their frontiers: each frontier is a deque that starts with the search's
@@ -188,6 +226,11 @@ def rows(assocf):
     def fixture(stem):
         return magmas.load_magma((REPO / "fixtures" / f"{stem}.magma").read_text())
 
+    def fresh(m):
+        # a copy of the table whose level store starts empty, so every
+        # search call builds its levels, as a status on a loaded file does
+        return magmas.Magma(m.elements, m.table)
+
     out = []
     for kind, size, n in SEARCHES:
 
@@ -196,13 +239,27 @@ def rows(assocf):
             evaluations = math.comb(2 * n - 2, n - 1) // n * size**n
 
             def search():
-                magmas.search_laws(m, n)
+                magmas.search_laws(fresh(m), n)
                 return evaluations
 
             return search
 
         params = {"table": kind, "size": size, "arity": n}
         out.append(("magmas.search_laws", params, "tree evaluations", setup))
+
+    def setup():
+        a5 = fixture("a5_commutator")
+        # counted in a run of its own, so no timed run pays for the counter
+        built = level_values(magmas, fresh(a5), A5_ARITY)
+
+        def search():
+            magmas.search_laws(fresh(a5), A5_ARITY)
+            return built
+
+        return search
+
+    params = {"table": "a5_commutator", "size": 60, "arity": A5_ARITY}
+    out.append(("magmas.search_laws", params, "level values built", setup))
     for name, size, make in (
         ("a5_commutator", 60, lambda: fixture("a5_commutator")),
         ("cyclic", 60, lambda: cyclic(60)),

@@ -23,7 +23,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -116,6 +116,11 @@ class Magma:
     @cached_property
     def associativity(self):
         return satisfies(self, associative_law())
+
+    @cached_property
+    def _levels(self):
+        # the level store of the law search: _level(self, k) builds level k
+        return [None, np.arange(len(self.elements), dtype=self.table.dtype)[None]]
 
     @cached_property
     def _derived(self):
@@ -378,10 +383,11 @@ def _in_spread_order(prefix_vars, starts):
         yield prefix_vars, starts[i], min(starts[i] + starts.step, starts.stop)
 
 
-def _partition(rows, count, domains):
+def _partition(rows, count, domains, first=None):
     """Classes, of two or more of `count` trees, that agree on every tuple
     over the domains.  rows(prefix_vars, lo, hi) gives every tree's values on
-    the block [lo, hi) of _layout, one row per tree, and classes split as
+    the block [lo, hi) of _layout, one row per tree (first(...) on the
+    blocks of the small first pass, if given), and classes split as
     blocks disagree, until every tree is alone.  The result does not depend
     on block order, so blocks of at most _PARTITION_BLOCK tuples (and
     _BLOCK_ELEMENTS values over all trees) go in spread order.  When the
@@ -391,20 +397,21 @@ def _partition(rows, count, domains):
     re-reads at most 1/8 of the space."""
     budget = min(_PARTITION_BLOCK, _BLOCK_ELEMENTS // count)
     prefix_vars, starts = _layout(domains, budget)
-    blocks = _in_spread_order(prefix_vars, starts)
+    passes = [(rows, _in_spread_order(prefix_vars, starts))]
     if len(starts) > 1:
         small = _layout(domains, min(_SMALL_BLOCK, budget // 16))
-        blocks = itertools.chain(itertools.islice(_in_spread_order(*small), 2), blocks)
+        passes.insert(0, (first or rows, itertools.islice(_in_spread_order(*small), 2)))
     classes = [range(count)]
-    for block in blocks:
-        values = rows(*block)
-        split = defaultdict(list)
-        for k, c in enumerate(classes):
-            for t in c:
-                split[k, values[t].tobytes()].append(t)
-        classes = [c for c in split.values() if len(c) > 1]
-        if not classes:
-            break
+    for rows_of, blocks in passes:
+        for block in blocks:
+            values = rows_of(*block)
+            split = defaultdict(list)
+            for k, c in enumerate(classes):
+                for t in c:
+                    split[k, values[t].tobytes()].append(t)
+            classes = [c for c in split.values() if len(c) > 1]
+            if not classes:
+                return classes
     return classes
 
 
@@ -427,41 +434,59 @@ def _join(table, left, right):
     return joined.reshape(len(left) * len(right), -1)
 
 
-def _levels(table, n):
-    """levels[k], for k = 1 .. n, is the (Catalan(k-1), |S|^k) array of every
-    k-leaf tree's values on S^k, trees in enumerate_trees order and tuples in
-    lexicographic order: the k-leaf trees with a-leaf left subtrees, a = 1 ..
-    k-1, each joined from levels a and k-a."""
-    levels = [None, np.arange(len(table), dtype=table.dtype)[None]]
-    for k in range(2, n + 1):
+def _level(m, k):
+    """Level k of m's store: the (Catalan(k-1), |S|^k) array of every k-leaf
+    tree's values on S^k, trees in enumerate_trees order and tuples in
+    lexicographic order.  It is joined from the levels below on first use
+    and kept, so the searches of every arity on one table build it once."""
+    levels = m._levels
+    while len(levels) <= k:
+        j = len(levels)
         levels.append(
             np.concatenate(
-                [_join(table, levels[a], levels[k - a][:, None]) for a in range(1, k)]
+                [_join(m.table, levels[a], levels[j - a][:, None]) for a in range(1, j)]
             )
         )
-    return levels
+    return levels[k]
 
 
-def _top_rows(table, levels, n, prefix_vars, lo, hi):
-    """Every n-leaf tree's values on the block [lo, hi) of a _layout of S^n,
-    from the levels below n, in the order of _levels.  A left subtree that
-    covers the leading variables reads a slice of its level; a shorter one
-    reads the row of each combo's first variables, and its right subtree
-    the row of the combo's rest."""
-    size = len(table)
+def _joined(m, k, p, combos, small):
+    """Every k-leaf tree's values on the tuples of S^k whose first p
+    variables form one of the combos (a range or an index array), combo by
+    combo and each combo's tuples in lexicographic order: the trees with
+    a-leaf left subtrees, a = 1 .. k-1, each split one _join.  A left
+    subtree that covers the leading variables reads the same combos of its
+    level, and its right subtree the whole of its own; a shorter one reads
+    the columns of each combo's first variables, and its right subtree
+    those of the combo's rest."""
+    index = combos
+    if p > 1 and isinstance(combos, range):
+        index = np.arange(combos.start, combos.stop)
     parts = []
-    for a in range(1, n):
-        left, right = levels[a], levels[n - a]
-        if a >= prefix_vars:
-            width = size ** (a - prefix_vars)
-            left, right = left[:, lo * width : hi * width], right[:, None]
+    for a in range(1, k):
+        if a >= p:
+            left, right = _rows(m, a, p, combos, small), _level(m, k - a)[:, None]
         else:
-            combos = np.arange(lo, hi)
-            split = size ** (prefix_vars - a)
-            left = left[:, combos // split]
-            right = right.reshape(len(right), split, -1)[:, combos % split]
-        parts.append(_join(table, left, right))
+            split = len(m.table) ** (p - a)
+            left = _rows(m, a, a, index // split, small)
+            right = _rows(m, k - a, p - a, index % split, small)
+            right = right.reshape(len(right), len(index), -1)
+        parts.append(_join(m.table, left, right))
     return np.concatenate(parts)
+
+
+def _rows(m, k, p, combos, small):
+    """Level k's columns for the combos of its first p variables: a slice
+    of the stored level for a range of combos, a gather for an index
+    array.  In a small block, while level k is not built, they are joined
+    for those combos alone instead, so the block builds no level wider
+    than one combo's tuples."""
+    if small and len(m._levels) <= k:
+        return _joined(m, k, p, combos, small)
+    level, width = _level(m, k), len(m.table) ** (k - p)
+    if isinstance(combos, range):
+        return level[:, combos.start * width : combos.stop * width]
+    return level.reshape(len(level), -1, width)[:, combos].reshape(len(level), -1)
 
 
 def _whole(m, n):
@@ -535,11 +560,20 @@ def _holding_tuples(m, law, images):
     S^n is swept once, a block of the trailing variables (as in _layout)
     per combination of the leading ones; contracting a block's mismatches
     with the images' membership vectors, one variable at a time, counts
-    them inside every product of images."""
+    them inside every product of images.  Raises BudgetExceeded before it
+    allocates when |S|^n or len(images)^n passes EVALUATION_GUARD."""
     n, table, lhs, rhs = law.arity, m.table, law.lhs, law.rhs
-    member = np.array([np.isin(np.arange(len(m)), image) for image in images], float)
     domains = _whole(m, n)
     lead, _ = _layout(domains, _PARTITION_BLOCK)
+    # the sweep reads |S|^n tuples and sums its counts in a float grid of
+    # one cell per tuple of images
+    for base, what in ((len(m), "tuples"), (len(images), "image tuples")):
+        if base**n > EVALUATION_GUARD:
+            raise BudgetExceeded(
+                f"witness sweep over {base}^{n} = {base**n} {what} "
+                f"exceeds guard {EVALUATION_GUARD}"
+            )
+    member = np.array([np.isin(np.arange(len(m)), image) for image in images], float)
     trailing = list(np.ix_(*domains[lead:]))
     counts = 0
     for prefix in itertools.product(*domains[:lead]):
@@ -650,12 +684,17 @@ def search_laws(m, n):
 
     The n-leaf trees are partitioned by their values on every tuple, and
     the laws are the pairs (i, j), i < j in enumeration order, that share a
-    class.  The values of every tree with fewer leaves are kept (_levels),
-    and those of the n-leaf trees are joined from them one block at a time.
-    Guarded by the tree evaluations it makes, Catalan(n-1) trees on |S|^n
-    tuples, against EVALUATION_GUARD (the kept levels then hold at most
-    EVALUATION_GUARD / |S| values), and by the laws it would return,
-    counted from the classes before any is built, against LAW_GUARD.
+    class.  Their values are joined one block at a time from the levels
+    below n, the values of every tree with fewer leaves, which m keeps in
+    a store (_level) that the searches of every arity on m share; a level
+    is built the first time a block reads it whole.  The two small blocks
+    the partition reads first join only the columns their combos touch
+    (_rows), so a search whose trees part there builds no level wider than
+    one combo's tuples.  Guarded by the tree evaluations it makes,
+    Catalan(n-1) trees on |S|^n tuples, against EVALUATION_GUARD (the kept
+    levels then hold at most EVALUATION_GUARD / |S| values), and by the
+    laws it would return, counted from the classes before any is built,
+    against LAW_GUARD.
     """
     if n < 1:
         raise ValueError(f"search arity must be >= 1, got {n}")
@@ -667,21 +706,20 @@ def search_laws(m, n):
             f"{n_trees} trees on {size}^{n} tuples = {work} evaluations "
             f"exceed guard {EVALUATION_GUARD}"
         )
-    shapes = trees.enumerate_trees(n)
-    if n == 1:
+    if n_trees == 1:
         # one tree, no law
         return ()
-    levels = _levels(m.table, n - 1)
 
-    def rows(*block):
-        return _top_rows(m.table, levels, n, *block)
+    def rows(prefix_vars, lo, hi, small=False):
+        return _joined(m, n, prefix_vars, range(lo, hi), small)
 
-    classes = _partition(rows, n_trees, _whole(m, n))
+    classes = _partition(rows, n_trees, _whole(m, n), partial(rows, small=True))
     count = sum(math.comb(len(c), 2) for c in classes)
     if count > LAW_GUARD:
         raise BudgetExceeded(f"{count} laws of arity {n} exceed guard {LAW_GUARD}")
     pairs = sorted(p for c in classes for p in itertools.combinations(c, 2))
     # every side has n leaves, so no Law needs its leaf counts checked
+    shapes = trees.enumerate_trees(n)
     return tuple(_law(shapes[i], shapes[j]) for i, j in pairs)
 
 
@@ -693,7 +731,8 @@ def assoc_status(m, *, eventual_carets=6):
     variable law holding after some expansion certifies containing the
     commutator subgroup (on the nose when its caret-minimal expansion is
     empty, else with that expansion, reported when it has at most
-    `eventual_carets` carets); failing all that, law search up to an
+    `eventual_carets` carets and the sweep that finds it stays inside
+    EVALUATION_GUARD); failing all that, law search up to an
     arity set by the table's size (6 up to 4 elements, 4 up to 60, else 3)
     reports either exhaustion bounds or the laws it found.  Unknown never
     claims triviality: that would need no-law-at-every-arity, which bounded
@@ -730,15 +769,20 @@ def assoc_status(m, *, eventual_carets=6):
             },
         )
     fvl = five_variable_law()
-    eventual = satisfies_eventually(m, fvl)
-    # a witness past the caret budget is left to the law search
-    if eventual.holds and len(eventual.witness) <= eventual_carets:
-        if not eventual.witness.letters:
+    try:
+        witness = satisfies_eventually(m, fvl).witness
+    except BudgetExceeded:
+        # past the witness sweep's guard: the law may hold, but its witness
+        # is not known
+        witness = None
+    # a witness past the caret budget is left to the law search too
+    if witness is not None and len(witness) <= eventual_carets:
+        if not witness.letters:
             return AssocStatus("contains_commutator", "fvl-on-the-nose", {"law": fvl})
         return AssocStatus(
             "contains_commutator",
             "fvl-at-expansion",
-            {"law": fvl, "expansion": eventual.witness},
+            {"law": fvl, "expansion": witness},
         )
     # the only law of arity 3 is associativity, which fails here; small
     # tables afford deeper arities

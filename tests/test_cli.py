@@ -433,6 +433,15 @@ def test_a_sweep_at_36_leaves_still_answers(capsys):
     assert (code, out) == (0, f"fails at ({'1, ' * 35}a): c != b\n")
 
 
+def test_a_witness_sweep_past_the_guard_exits_3(capsys):
+    # the 30-leaf comb law holds on s3_commutator's one-element core; its
+    # witness sweep would read 6^30 tuples into a 3^30 grid
+    argv = ["magma", "eventual", "fixtures/s3_commutator.magma", comb_law(30)]
+    code, captured = cli.run(argv), capsys.readouterr()
+    assert (code, captured.err) == (3, "")
+    assert captured.out.startswith("budget exhausted: witness sweep over 6^30 = ")
+
+
 # ---------------------------------------------------------------------------
 # deep tree literals
 
@@ -540,6 +549,11 @@ ARGV = st.one_of(
     argv_of("f", "reduce", SHALLOW_TREES, SHALLOW_TREES),
     argv_of("f", "normal-member", WORDS, SMALL_INTS, SMALL_INTS),
     argv_of("magma", "eventual", MAGMAS, LAWS),
+    # comb laws whose witness sweep on s3_commutator passes the guard
+    argv_of(
+        "magma", "eventual", "fixtures/s3_commutator.magma",
+        st.integers(12, 30).map(comb_law),
+    ),
     argv_of("magma", "status", MAGMAS, "--budget", BUDGETS),
     argv_of("magma", "check", MAGMAS, LAWS),
     argv_of("magma", "image", MAGMAS, GOOD_TREES.filter(lambda t: t.count(".") <= 4)),

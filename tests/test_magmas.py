@@ -769,37 +769,134 @@ def grid_laws(m, n):
     )
 
 
+def fresh(m):
+    """The same table with an empty level store."""
+    return Magma(m.elements, m.table)
+
+
+def block_values(m, n, prefix_vars, lo, hi):
+    """Every n-leaf tree's values on a _layout block, one row per tree."""
+    domains = magmas._whole(m, n)
+    axes = magmas._block_axes(domains, prefix_vars, lo, hi)
+    return [magmas._tree_values(m.table, t, axes).ravel() for t in trees.enumerate_trees(n)]
+
+
 @settings(max_examples=60)
-@given(small_tables(6), st.integers(1, 6), st.integers(1, 40))
+@given(small_tables(6), st.integers(1, 6), st.integers(1, 40), st.booleans())
 # 3^5 tuples in blocks of 3 * 3^2: two leading variables, so the 1-leaf
-# left subtree indexes its rows by combo and the others slice their levels
-@example(table_of([[0, 1, 2], [1, 1, 0], [2, 0, 0]]), 5, 3)
-def test_level_rows_are_the_tree_values(m, n, block):
-    table, shapes = m.table, trees.enumerate_trees(n)
-    levels = magmas._levels(table, n)
+# left subtree reads its level by combo and the others slice theirs
+@example(table_of([[0, 1, 2], [1, 1, 0], [2, 0, 0]]), 5, 3, False)
+@example(table_of([[0, 1, 2], [1, 1, 0], [2, 0, 0]]), 5, 3, True)
+def test_level_rows_are_the_tree_values(m, n, block, small):
+    shapes = trees.enumerate_trees(n)
+    store = fresh(m)
     for k in range(1, n + 1):
         expected = [oracle_grid(m, t).ravel() for t in trees.enumerate_trees(k)]
-        assert np.array_equal(levels[k], expected)
-    # the levels a search keeps hold at most 1/|S| of its evaluations
-    kept = sum(levels[k].size for k in range(1, n))
-    assert kept * len(m) <= len(shapes) * len(m) ** n
-    # at most |S|^3 blocks, so both branches of _top_rows run, in few calls
+        assert np.array_equal(magmas._level(store, k), expected)
+    # at most |S|^3 blocks, so both branches of _joined run, in few calls
     block *= len(m) ** max(0, n - 3)
-    domains = magmas._whole(m, n)
-    prefix_vars, starts = magmas._layout(domains, block)
+    prefix_vars, starts = magmas._layout(magmas._whole(m, n), block)
     # one leaf has no split: search_laws answers n = 1 with no law
     for lo in starts if n > 1 else ():
         hi = min(lo + starts.step, starts.stop)
-        axes = magmas._block_axes(domains, prefix_vars, lo, hi)
-        expected = [magmas._tree_values(table, t, axes).ravel() for t in shapes]
-        got = magmas._top_rows(table, levels[:n], n, prefix_vars, lo, hi)
-        assert np.array_equal(got, expected)
+        # a small block joins from an empty store, a large one from a kept one
+        store = fresh(m) if small else store
+        got = magmas._joined(store, n, prefix_vars, range(lo, hi), small)
+        assert np.array_equal(got, block_values(m, n, prefix_vars, lo, hi))
+        if small:
+            # a small block builds no level wider than one combo's tuples
+            widest = max(level.shape[1] for level in store._levels[1:])
+            assert widest <= max(len(m), len(m) ** (n - prefix_vars))
+    store = fresh(m)
     saved = magmas._PARTITION_BLOCK
     magmas._PARTITION_BLOCK = block
     try:
-        assert search_laws(m, n) == grid_laws(m, n)
+        assert search_laws(store, n) == grid_laws(m, n)
     finally:
         magmas._PARTITION_BLOCK = saved
+    if n > 1:
+        # the levels a search keeps hold at most 1/|S| of its evaluations
+        kept = sum(level.size for level in store._levels[1:])
+        assert kept * len(m) <= len(shapes) * len(m) ** n
+
+
+@settings(max_examples=60)
+@given(small_tables(6), st.integers(1, 6), st.integers(5, 12))
+# 3^5 tuples: two small blocks of 9, then blocks of 3^4 on one variable
+@example(table_of([[0, 1, 2], [1, 1, 0], [2, 0, 0]]), 5, 9)
+def test_a_search_reads_the_tree_values_on_every_block(m, n, small):
+    # small blocks so that both passes of the partition span many blocks;
+    # every block the search reads, from either pass, is checked
+    joined = magmas._joined
+    served = []
+
+    def spy(store, k, prefix_vars, combos, small):
+        rows = joined(store, k, prefix_vars, combos, small)
+        if k == n:
+            served.append(small)
+            expected = block_values(m, n, prefix_vars, combos.start, combos.stop)
+            assert np.array_equal(rows, expected)
+        return rows
+
+    with small_blocks(small), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(magmas, "_joined", spy)
+        assert search_laws(fresh(m), n) == grid_laws(m, n)
+    assert (n <= 2) == (not served)
+
+
+@settings(max_examples=30)
+@given(small_tables(4))
+def test_searches_on_one_table_share_its_levels(m):
+    # assoc_status searches arities 4 to 6 on tables of up to 4 elements
+    shared = fresh(m)
+    for n in (4, 5, 6):
+        laws = search_laws(shared, n)
+        assert laws == search_laws(fresh(m), n) == grid_laws(m, n)
+    # levels 1 to 5, each built once: a second round keeps the same arrays
+    built = list(shared._levels)
+    assert len(built) == 6
+    for n in (4, 5, 6):
+        search_laws(shared, n)
+    assert len(shared._levels) == 6
+    assert all(a is b for a, b in zip(built, shared._levels))
+
+
+def level_values_built(m, n):
+    """Values of the levels below n that search_laws(m, n) builds: the whole
+    levels it adds to m's store, and the columns small blocks join for
+    themselves."""
+    joined, built = magmas._joined, []
+
+    def count(store, k, *block):
+        rows = joined(store, k, *block)
+        if k < n:
+            built.append(rows.size)
+        return rows
+
+    store = m._levels
+    before = sum(level.size for level in store[2:])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(magmas, "_joined", count)
+        search_laws(m, n)
+    return sum(built) + sum(level.size for level in store[2:]) - before
+
+
+def test_a5_search_builds_a_tenth_of_level_3(builtins):
+    # the arity-4 trees part in the two small blocks, which read 7,200 of
+    # 60^4 tuples, so level 3 (2 trees x 60^3 values) is never built whole
+    m = fresh(builtins["a5_commutator"])
+    assert search_laws(m, 4) == ()
+    built = level_values_built(fresh(m), 4)
+    assert 0 < built <= 2 * 60**3 / 10
+    assert len(m._levels) <= 3
+    # a whole sweep builds every level once, after the small blocks join
+    # fewer lower-level values than the top values they read, at most an
+    # eighth of the space; cyclic addition holds every law
+    z = zoo.cyclic_addition(20)
+    whole = sum(len(trees.enumerate_trees(k)) * 20**k for k in (2, 3))
+    assert whole <= level_values_built(z, 4) <= whole + 5 * 20**4 / 8
+    # a second search on the table joins no level again
+    assert level_values_built(z, 4) == 0
 
 
 def test_top_rows_on_a_table_of_two_byte_entries():
@@ -809,16 +906,13 @@ def test_top_rows_on_a_table_of_two_byte_entries():
     table = np.random.default_rng(3).integers(0, size, (size, size))
     m = Magma([str(i) for i in range(size)], table)
     assert m.table.dtype == np.uint16
-    shapes = trees.enumerate_trees(3)
-    levels = magmas._levels(m.table, 2)
-    domains = magmas._whole(m, 3)
-    prefix_vars, starts = magmas._layout(domains, magmas._PARTITION_BLOCK)
+    prefix_vars, starts = magmas._layout(magmas._whole(m, 3), magmas._PARTITION_BLOCK)
     assert prefix_vars == 2
     for lo in (starts[0], starts[-1]):
         hi = min(lo + starts.step, starts.stop)
-        axes = magmas._block_axes(domains, prefix_vars, lo, hi)
-        expected = [magmas._tree_values(m.table, t, axes).ravel() for t in shapes]
-        assert np.array_equal(magmas._top_rows(m.table, levels, 3, prefix_vars, lo, hi), expected)
+        for small in (True, False):
+            got = magmas._joined(fresh(m), 3, prefix_vars, range(lo, hi), small)
+            assert np.array_equal(got, block_values(m, 3, prefix_vars, lo, hi))
 
 
 def test_core_check_parts_a_power_of_two_product_in_a_few_blocks(builtins, monkeypatch):
@@ -893,7 +987,7 @@ def test_a_sweep_where_every_law_holds_rereads_at_most_an_eighth(size, n, small)
     shapes = trees.enumerate_trees(n)
     law = Law(shapes[0], shapes[-1])
     read = []
-    block_axes, top_rows = magmas._block_axes, magmas._top_rows
+    block_axes, joined = magmas._block_axes, magmas._joined
 
     def count(domains, prefix_vars, lo, hi):
         read.append((hi - lo) * math.prod(len(d) for d in domains[prefix_vars:]))
@@ -904,11 +998,15 @@ def test_a_sweep_where_every_law_holds_rereads_at_most_an_eighth(size, n, small)
             "_block_axes",
             lambda domains, *block: count(domains, *block) or block_axes(domains, *block),
         )
+        # the search's blocks are its n-leaf rows; the lower levels it
+        # joins are not tuples read
         patch.setattr(
             magmas,
-            "_top_rows",
-            lambda table, levels, n, *block: count([table] * n, *block)
-            or top_rows(table, levels, n, *block),
+            "_joined",
+            lambda store, k, p, combos, small: (
+                k == n and count([m.table] * n, p, combos.start, combos.stop)
+            )
+            or joined(store, k, p, combos, small),
         )
         sweeps = [
             lambda: satisfies(m, law),
@@ -1053,6 +1151,51 @@ def test_sweeps_past_numpys_index_type_exit_as_budget(builtins, table, check):
     message = rf"^block indices over {len(builtins[table])}\^38 tuples "
     with pytest.raises(BudgetExceeded, match=message):
         check(builtins[table], comb_law(38))
+
+
+def test_witness_sweep_past_the_guard_exits_as_budget(builtins):
+    # the comb law holds on s3_commutator's one-element core; its witness
+    # sweep would read 6^n tuples, answered at 10 leaves and refused at 11
+    s3c = builtins["s3_commutator"]
+    assert satisfies_eventually(s3c, comb_law(4)).holds
+    message = r"^witness sweep over 6\^11 = 362797056 tuples exceeds guard 100000000$"
+    with pytest.raises(BudgetExceeded, match=message):
+        satisfies_eventually(s3c, comb_law(11))
+
+
+def test_witness_sweep_guard_counts_the_image_tuples(monkeypatch):
+    # five tree images on four elements: the grid of image tuples is the
+    # larger count, 5^3 against 4^3 tuples
+    m = table_of([[2, 2, 2, 1], [0, 0, 2, 2], [2, 2, 2, 1], [2, 1, 1, 1]])
+    law = associative_law()
+    assert len(magmas._least_trees(m.table)) == 5
+    assert satisfies_eventually(m, law).witness == trees.ExpansionWord((7, 5, 3, 1, 1))
+    monkeypatch.setattr(magmas, "EVALUATION_GUARD", 4**3)
+    message = r"^witness sweep over 5\^3 = 125 image tuples exceeds guard 64$"
+    with pytest.raises(BudgetExceeded, match=message):
+        satisfies_eventually(m, law)
+
+
+def product_with_constant(m, k):
+    """m x T, T of k elements where every product is the first: the laws
+    and the eventual verdicts of m, on k times the elements."""
+    table = (m.table.astype(int) * k)[:, None, :, None] + np.zeros((1, k, 1, k), int)
+    names = [f"{x}{i}" for x in m.elements for i in range(k)]
+    return Magma(names, table.reshape(len(names), len(names)))
+
+
+def test_status_leaves_a_witness_past_the_guard_to_the_law_search():
+    # the five-variable law holds after one caret on FVL_EVENTUAL and so on
+    # its products; from 40 elements on its witness sweep passes the guard
+    under = assoc_status(product_with_constant(FVL_EVENTUAL, 2))
+    assert (under.reason, under.evidence["expansion"]) == (
+        "fvl-at-expansion", trees.ExpansionWord((2,))
+    )
+    over = product_with_constant(FVL_EVENTUAL, 14)
+    assert len(over) ** 5 > magmas.EVALUATION_GUARD
+    status = assoc_status(over)
+    assert (status.reason, status.evidence["searched_up_to"]) == ("laws-found", 4)
+    assert status.evidence["laws"] == search_laws(FVL_EVENTUAL, 4)
 
 
 def test_status_reports_a_witness_within_the_caret_budget():

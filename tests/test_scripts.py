@@ -71,6 +71,11 @@ def test_bench_measures_one_row():
     # the multiply row folds each word letter by letter
     fold = rows["thompson.multiply", json.dumps({"words": 20, "letters": 40})]()
     assert script.measure({"after": fold}, 1, clock)["after"]["work"] == 20 * 39
+    # a5_commutator's arity-4 trees part in the small blocks, which build
+    # at most a tenth of level 3's 2 x 60^3 values
+    a5 = {"table": "a5_commutator", "size": 60, "arity": 4}
+    search = rows["magmas.search_laws", json.dumps(a5)]()
+    assert 0 < script.measure({"after": search}, 1, clock)["after"]["work"] <= 2 * 60**3 / 10
     power = rows["thompson.power", json.dumps({"element": "x1", "k": 120})]()
     assert script.measure({"after": power}, 1, clock)["after"]["work"] == 1
 
