@@ -232,9 +232,11 @@ class LawCheck:
 @dataclass(frozen=True)
 class EventualResult:
     """Outcome of satisfies_eventually, exact either way: "holds" with a
-    caret-minimal witness, or "never" (no expansion holds)."""
+    caret-minimal witness, or "never" (no expansion holds).  A search
+    capped at a caret count answers "over-budget" when the law holds after
+    some expansion but after none within the cap."""
 
-    kind: str  # "holds" | "never"
+    kind: str  # "holds" | "never" | "over-budget"
     law: Law
     witness: ExpansionWord = None
 
@@ -531,14 +533,16 @@ def _graft(blocks):
     return tuple(applied)
 
 
-def _least_trees(table):
+def _least_trees(table, cap=None):
     """Every image of a tree operation, mapped to the least (carets, word),
-    as in _graft, of a tree with that image.
+    as in _graft, of a tree with that image; with `cap`, only the images
+    of trees of at most that many carets.
 
     Im(leaf) = S costs no caret, and Im((L R)) = op(Im L x Im R) one more
     than L and R.  A combined (carets, word) exceeds both parts and grows
     with each, so Knuth's generalisation of Dijkstra's algorithm (IPL 6,
-    1977) applies: the least open image is final."""
+    1977) applies: the least open image is final.  No tree past the cap
+    is built, so each image kept has a tree within it."""
     best = {tuple(range(len(table))): (0, ())}
     done = {}
     while len(done) < len(best):
@@ -546,6 +550,8 @@ def _least_trees(table):
         done[image] = best[image]
         for left, right in {(image, o) for o in done} | {(o, image) for o in done}:
             carets = done[left][0] + done[right][0] + 1
+            if cap is not None and carets > cap:
+                continue
             value = (carets, (1,) + _graft((done[left], done[right])))
             product = _product_image(table, left, right)
             if product not in best or value < best[product]:
@@ -588,7 +594,7 @@ def _holding_tuples(m, law, images):
     return counts == 0
 
 
-def satisfies_eventually(m, law):
+def satisfies_eventually(m, law, *, carets=None):
     """Decide whether some simultaneous expansion of the law holds, with a
     caret-minimal witness when one does; both kinds are exact.
 
@@ -601,7 +607,14 @@ def satisfies_eventually(m, law):
     whose product the law holds that is least by total carets
     (_least_trees), then by grafted word: the first least witness that a
     breadth-first walk of rewriting.expansion_frontier meets.
+
+    With `carets` (assoc_status's caret budget; `magma eventual` sets none)
+    only images of trees of at most that many carets are swept, since each
+    block of a witness within the cap is such a tree, and the kind is
+    "over-budget" when no witness is within it.
     """
+    if carets is not None and carets < 0:
+        raise ValueError(f"caret budget must be >= 0, got {carets}")
     core = np.array(
         [m.index(x) for x in derived_chain(m).subsets[-1]], dtype=m.table.dtype
     )
@@ -616,13 +629,16 @@ def satisfies_eventually(m, law):
     if len(core) == len(m):
         # the only image is S: the law holds on the nose
         return EventualResult("holds", law, ExpansionWord())
-    least = _least_trees(m.table)
+    least = _least_trees(m.table, carets)
     images = list(least)
     ranked = []
     for index in zip(*np.nonzero(_holding_tuples(m, law, images))):
         blocks = [least[images[i]] for i in index]
-        ranked.append((sum(c for c, _ in blocks), _graft(blocks)))
-    # the law holds on (core, ..., core), so ranked is not empty
+        total = sum(c for c, _ in blocks)
+        if carets is None or total <= carets:
+            ranked.append((total, _graft(blocks)))
+    if not ranked:
+        return EventualResult("over-budget", law)
     witness = ExpansionWord.from_applied(min(ranked)[1])
     return EventualResult("holds", law, witness)
 
@@ -770,13 +786,14 @@ def assoc_status(m, *, eventual_carets=6):
         )
     fvl = five_variable_law()
     try:
-        witness = satisfies_eventually(m, fvl).witness
+        witness = satisfies_eventually(m, fvl, carets=eventual_carets).witness
     except BudgetExceeded:
         # past the witness sweep's guard: the law may hold, but its witness
         # is not known
         witness = None
-    # a witness past the caret budget is left to the law search too
-    if witness is not None and len(witness) <= eventual_carets:
+    # a law that holds only past the caret budget is left to the law
+    # search too
+    if witness is not None:
         if not witness.letters:
             return AssocStatus("contains_commutator", "fvl-on-the-nose", {"law": fvl})
         return AssocStatus(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -127,10 +128,56 @@ class _Rule(NamedTuple):
     """One direction of a law, compiled for the search."""
 
     src: tuple  # preorder shape of the side that must match
-    dst: tuple  # preorder shape of the side put in its place
+    rewrite: object  # t -> the rewrite of t at its root, or None (_compile)
     law: Law
     law_index: int
     forward: bool
+
+
+# Distinct law directions whose compiled code a process keeps.
+COMPILE_CACHE = 256
+
+
+@lru_cache(maxsize=COMPILE_CACHE)
+def _compile(src, dst):
+    """A function of t that is graft(dst, capture(src, t)), or None where
+    capture gives None, as straight-line code: one statement per caret.
+
+    The match side unpacks t along src in preorder and returns None at
+    the first leaf where src has a caret; the build side joins the
+    captured subtrees along dst read back to front, as graft does.  No
+    statement nests another, so a law of any depth compiles.  The source
+    is made from the two shapes alone: it holds only generated names (nK
+    for matched subtrees, bK for built ones) and tuple syntax, never text
+    read from a variety file.
+    """
+    lines = ["def rewrite(n0):"]
+    captured = []
+    pending = ["n0"]
+    made = 0
+    for caret in src:
+        name = pending.pop()
+        if not caret:
+            captured.append(name)
+            continue
+        left, right = f"n{made + 1}", f"n{made + 2}"
+        made += 2
+        # a leaf is (), the one falsy tree
+        lines.append(f"    if not {name}: return None")
+        lines.append(f"    {left}, {right} = {name}")
+        pending += [right, left]
+    built = []
+    for caret in reversed(dst):
+        if caret:
+            name = f"b{len(lines)}"
+            lines.append(f"    {name} = ({built.pop()}, {built.pop()})")
+            built.append(name)
+        else:
+            built.append(captured.pop())
+    lines.append(f"    return {built[0]}")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["rewrite"]
 
 
 def _rules(variety):
@@ -141,12 +188,8 @@ def _rules(variety):
             continue
         for forward in (True, False):
             src, dst = (law.lhs, law.rhs) if forward else (law.rhs, law.lhs)
-            out.append(
-                _Rule(
-                    trees.preorder_shape(src), trees.preorder_shape(dst),
-                    law, law_index, forward,
-                )
-            )
+            src, dst = trees.preorder_shape(src), trees.preorder_shape(dst)
+            out.append(_Rule(src, _compile(src, dst), law, law_index, forward))
     return tuple(out)
 
 
@@ -171,9 +214,9 @@ def _neighbors(t, rules, memo):
         return known
     out = []
     for rule in rules:
-        captured = trees.capture(rule.src, t)
-        if captured is not None:
-            out.append(trees.graft(rule.dst, captured))
+        new = rule.rewrite(t)
+        if new is not None:
+            out.append(new)
     left, right = t
     below, left_leaves = _neighbors(left, rules, memo)
     out += [(new, right) for new in below]
@@ -243,8 +286,8 @@ def _step(prev, nxt, rules):
     vertex = ""
     while True:
         for rule in rules:
-            captured = trees.capture(rule.src, prev)
-            if captured is not None and trees.graft(rule.dst, captured) == nxt:
+            if rule.rewrite(prev) == nxt:
+                captured = trees.capture(rule.src, prev)
                 return RewriteStep(
                     vertex, rule.law, rule.law_index, rule.forward, captured
                 )

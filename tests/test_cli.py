@@ -414,6 +414,19 @@ def comb_law(n):
     return f"{right} = {left}"
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_derivable_under_a_300_leaf_law(capsys, as_json):
+    # the law's sides are 299 deep: its compiled rewrite is one flat
+    # statement per caret, so it compiles, and matches no 3-leaf tree
+    argv = ["variety", "derivable", "fixtures/comb_300.variety", "((. .) .)", "(. (. .))"]
+    code, out = run_capture(argv + (["--json"] if as_json else []), capsys)
+    assert code == 0
+    if as_json:
+        assert json.loads(out)["payload"] == {"derivable": False}
+    else:
+        assert out == "not derivable at 3 leaves\n"
+
+
 @pytest.mark.parametrize("action", ["check", "eventual"])
 def test_a_sweep_whose_block_indices_overflow_exits_3(action, capsys):
     argv = ["magma", action, "fixtures/s4.magma", comb_law(38)]
@@ -522,7 +535,12 @@ MAGMAS = st.sampled_from(
     ]
 )
 VARIETIES = st.sampled_from(
-    ["fixtures/x1_law.variety", "fixtures/associativity.variety", "no_such.variety"]
+    [
+        "fixtures/x1_law.variety",
+        "fixtures/associativity.variety",
+        "fixtures/comb_300.variety",
+        "no_such.variety",
+    ]
 )
 LAWS = st.sampled_from(
     [ASSOC, "(. ((. .) .)) = (. (. (. .)))", "(. .) = .", "((. .) .) =", "= ."]

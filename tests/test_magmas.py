@@ -1204,6 +1204,32 @@ def test_status_reports_a_witness_within_the_caret_budget():
     # past the budget the witness is left to the law search
     status = assoc_status(FVL_EVENTUAL, eventual_carets=0)
     assert (status.reason, status.evidence["searched_up_to"]) == ("laws-found", 4)
+    capped = satisfies_eventually(FVL_EVENTUAL, five_variable_law(), carets=0)
+    assert (capped.kind, capped.witness) == ("over-budget", None)
+
+
+@settings(max_examples=150)
+@given(
+    small_tables(4),
+    st.one_of(law_strategy(3), st.just(five_variable_law())),
+    st.integers(0, 4),
+)
+def test_a_capped_witness_search_finds_the_least_witness_within_the_cap(m, law, carets):
+    # the capped search sweeps only the images of trees within the cap
+    least = magmas._least_trees(m.table)
+    within = {image: tree for image, tree in least.items() if tree[0] <= carets}
+    assert magmas._least_trees(m.table, carets) == within
+    full = satisfies_eventually(m, law)
+    capped = satisfies_eventually(m, law, carets=carets)
+    if full.holds and len(full.witness) > carets:
+        assert (capped.kind, capped.law, capped.witness) == ("over-budget", law, None)
+    else:
+        assert capped == full
+
+
+def test_a_capped_witness_search_checks_its_cap():
+    with pytest.raises(ValueError, match="^caret budget must be >= 0, got -1$"):
+        satisfies_eventually(FVL_EVENTUAL, five_variable_law(), carets=-1)
 
 
 @pytest.mark.parametrize("n", [0, -1])

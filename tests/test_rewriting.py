@@ -1,6 +1,7 @@
 """Law rewriting, derivability classes, and shift-closed subgroups."""
 
 import itertools
+import pathlib
 import random
 from collections import deque
 from fractions import Fraction
@@ -37,6 +38,7 @@ from assocf.rewriting import (
     shift_at_vertex,
 )
 
+REPO = pathlib.Path(__file__).resolve().parent.parent
 GENS = th.generators()
 X1_LAW = parse_law("(. ((. .) .)) = (. (. (. .)))")
 X1_VARIETY = VarietyPresentation((X1_LAW,))
@@ -469,6 +471,45 @@ def test_memoised_neighbors_match_the_reference(variety, pairs):
         for u in [t] + grown:
             expected = [v for v, _ in reference_neighbors(u, variety)]
             assert rewriting._neighbors(u, rules, memo) == (expected, trees.leaf_count(u))
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(st.sampled_from(sorted(VARIETIES)).map(VARIETIES.get), random_law_varieties),
+    sized_trees(1, 12),
+)
+def test_compiled_rewrites_match_capture_and_graft(variety, pair):
+    for rule in rewriting._rules(variety):
+        dst = trees.preorder_shape(rule.law.rhs if rule.forward else rule.law.lhs)
+        # the drawn trees, and the rule's source side with them hung at its
+        # leaves, which it always matches
+        hosts = list(pair) + [
+            trees.graft(rule.src, [pair[i % 2] for i in range(rule.src.count(False))])
+        ]
+        for t in hosts:
+            captured = trees.capture(rule.src, t)
+            grown = rule.rewrite(t)
+            assert (grown is None) == (captured is None)
+            if captured is not None:
+                assert grown == trees.graft(dst, captured)
+
+
+def test_rules_compile_each_law_direction_once_per_process():
+    text = (REPO / "fixtures" / "x1_law.variety").read_text()
+    first = rewriting._rules(rewriting.load_variety(text))
+    second = rewriting._rules(rewriting.load_variety(text))
+    assert len(first) == 2
+    assert all(a.rewrite is b.rewrite for a, b in zip(first, second))
+
+
+def test_a_300_leaf_law_compiles_to_flat_code():
+    variety = rewriting.load_variety((REPO / "fixtures" / "comb_300.variety").read_text())
+    (law,) = variety.laws
+    assert trees.rightmost_leaf_depth(law.lhs) == 299
+    forward, backward = rewriting._rules(variety)
+    assert forward.rewrite(law.lhs) == law.rhs
+    assert backward.rewrite(law.rhs) == law.lhs
+    assert forward.rewrite(law.rhs) is None
 
 
 def test_a_search_keeps_only_small_subtrees_in_its_memo():
