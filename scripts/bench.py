@@ -143,13 +143,15 @@ def random_table(size, magmas):
 
 def tuples_read(magmas, sweep):
     """Run sweep() and count the tuples of the blocks it lays out through
-    magmas._block_axes."""
+    magmas._block_axes: the size of the broadcast shape of each block's leaf
+    arrays, whatever arguments describe the block."""
     read = []
     block_axes = magmas._block_axes
 
-    def counted(domains, prefix_vars, lo, hi):
-        read.append((hi - lo) * math.prod(len(d) for d in domains[prefix_vars:]))
-        return block_axes(domains, prefix_vars, lo, hi)
+    def counted(*block):
+        axes = block_axes(*block)
+        read.append(math.prod(numpy.broadcast_shapes(*(numpy.shape(a) for a in axes))))
+        return axes
 
     magmas._block_axes = counted
     try:

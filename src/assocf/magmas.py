@@ -123,6 +123,18 @@ class Magma:
         return [None, np.arange(len(self.elements), dtype=self.table.dtype)[None]]
 
     @cached_property
+    def core(self):
+        """The derived core D_∞, the last set of the derived chain, as a
+        magma: op maps it onto itself.  Names keep their order and the table
+        is restricted and relabelled; it is self when the chain does not
+        shrink."""
+        kept = np.array([self.index(x) for x in self._derived.subsets[-1]])
+        if len(kept) == len(self):
+            return self
+        table = kept.searchsorted(self.table[kept][:, kept])
+        return Magma([self.elements[i] for i in kept], table)
+
+    @cached_property
     def _derived(self):
         chain = [tuple(range(len(self.elements)))]
         while (nxt := _product_image(self.table, chain[-1], chain[-1])) != chain[-1]:
@@ -257,10 +269,8 @@ class DerivedChain:
 
     @property
     def solvable_depth(self):
-        for k, level in enumerate(self.subsets):
-            if len(level) == 1:
-                return k
-        return None
+        # a singleton level is the fixpoint, the last one
+        return len(self.subsets) - 1 if len(self.subsets[-1]) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -310,61 +320,56 @@ def _product_image(table, left, right):
     return tuple(int(v) for v in np.unique(table[np.ix_(left, right)]))
 
 
-def _check_indexable(sizes, prefix_vars):
+def _check_indexable(size, n, prefix_vars):
     # blocks index the combos of the leading variables with numpy's intp
-    if math.prod(sizes[:prefix_vars]) > np.iinfo(np.intp).max:
-        raise BudgetExceeded(
-            f"block indices over {sizes[0]}^{len(sizes)} tuples do not fit numpy's intp"
-        )
+    if size**prefix_vars > np.iinfo(np.intp).max:
+        raise BudgetExceeded(f"block indices over {size}^{n} tuples do not fit numpy's intp")
 
 
-def _layout(domains, budget):
-    """Blocks of at most `budget` tuples over `domains`, the sorted index
-    array of each variable.  The trailing variables whose joint size fits
-    (at least one) get full broadcast axes, and a block is a range [lo, hi)
-    of combos of the leading ones, so blocks in order visit the tuples in
-    lexicographic order.  Returns the number of leading variables and the
-    range of block starts: the block at lo ends at min(lo + step, stop)."""
-    sizes = [len(d) for d in domains]
-    prefix_vars = len(sizes) - 1
-    while prefix_vars and math.prod(sizes[prefix_vars - 1 :]) <= budget:
+def _layout(size, n, budget):
+    """Blocks of at most `budget` tuples over S^n, |S| = size.  The trailing
+    variables whose joint size fits (at least one) get full broadcast axes,
+    and a block is a range [lo, hi) of combos of the leading ones, so blocks
+    in order visit the tuples in lexicographic order.  Returns the number of
+    leading variables and the range of block starts: the block at lo ends
+    at min(lo + step, stop)."""
+    prefix_vars = n - 1
+    while prefix_vars and size ** (n - prefix_vars + 1) <= budget:
         prefix_vars -= 1
-    _check_indexable(sizes, prefix_vars)
-    combos = math.prod(sizes[:prefix_vars])
-    step = max(1, budget // math.prod(sizes[prefix_vars:]))
-    return prefix_vars, range(0, combos, step)
+    _check_indexable(size, n, prefix_vars)
+    step = max(1, budget // size ** (n - prefix_vars))
+    return prefix_vars, range(0, size**prefix_vars, step)
 
 
-def _growing_blocks(domains, start, cap):
+def _growing_blocks(size, n, start, cap):
     """Blocks (prefix_vars, lo, hi), as in _layout, that visit the tuples in
     lexicographic order with sizes from `start` tuples doubling up to `cap`.
     A block ends on a multiple of the largest trailing space its size holds
     and takes the fewest leading variables its ends allow: large blocks get
     the broad layout, which is the cheaper one to evaluate."""
-    sizes = [len(d) for d in domains]
     # tuples per combo of the first p variables, for p = 0 .. n-1
-    widths = [math.prod(sizes[p:]) for p in range(len(sizes))]
+    widths = [size ** (n - p) for p in range(n)]
     # a block spans at least the last variable
-    cap = max(cap, widths[-1])
-    pos, size = 0, min(max(start, widths[-1]), cap)
+    cap = max(cap, size)
+    pos, block = 0, min(max(start, size), cap)
     while pos < widths[0]:
-        fit = next(w for w in widths if w <= size)
-        end = min((pos + size) // fit * fit, widths[0])
+        fit = next(w for w in widths if w <= block)
+        end = min((pos + block) // fit * fit, widths[0])
         p = next(p for p, w in enumerate(widths) if pos % w == end % w == 0)
-        _check_indexable(sizes, p)
+        _check_indexable(size, n, p)
         yield p, pos // widths[p], end // widths[p]
-        pos, size = end, min(2 * size, cap)
+        pos, block = end, min(2 * block, cap)
 
 
-def _block_axes(domains, prefix_vars, lo, hi):
-    """Leaf arrays for the block [lo, hi) of _layout."""
+def _block_axes(size, n, prefix_vars, lo, hi):
+    """Leaf arrays for the block [lo, hi) of _layout over S^n."""
+    whole = np.arange(size, dtype=_dtype_for(size))
     axes = []
     if prefix_vars:
-        sizes = [len(d) for d in domains[:prefix_vars]]
-        shape = [hi - lo] + [1] * (len(domains) - prefix_vars)
-        coords = np.unravel_index(np.arange(lo, hi), sizes)
-        axes = [d[c].reshape(shape) for d, c in zip(domains, coords)]
-    return axes + list(np.ix_(range(1), *domains[prefix_vars:])[1:])
+        shape = [hi - lo] + [1] * (n - prefix_vars)
+        coords = np.unravel_index(np.arange(lo, hi), (size,) * prefix_vars)
+        axes = [whole[c].reshape(shape) for c in coords]
+    return axes + list(np.ix_(range(1), *[whole] * (n - prefix_vars))[1:])
 
 
 def _spread(count):
@@ -385,9 +390,9 @@ def _in_spread_order(prefix_vars, starts):
         yield prefix_vars, starts[i], min(starts[i] + starts.step, starts.stop)
 
 
-def _partition(rows, count, domains, first=None):
+def _partition(rows, count, size, n, first=None):
     """Classes, of two or more of `count` trees, that agree on every tuple
-    over the domains.  rows(prefix_vars, lo, hi) gives every tree's values on
+    of S^n, |S| = size.  rows(prefix_vars, lo, hi) gives every tree's values on
     the block [lo, hi) of _layout, one row per tree (first(...) on the
     blocks of the small first pass, if given), and classes split as
     blocks disagree, until every tree is alone.  The result does not depend
@@ -398,10 +403,10 @@ def _partition(rows, count, domains, first=None):
     trees that part early part there, and a sweep that runs to the end
     re-reads at most 1/8 of the space."""
     budget = min(_PARTITION_BLOCK, _BLOCK_ELEMENTS // count)
-    prefix_vars, starts = _layout(domains, budget)
+    prefix_vars, starts = _layout(size, n, budget)
     passes = [(rows, _in_spread_order(prefix_vars, starts))]
     if len(starts) > 1:
-        small = _layout(domains, min(_SMALL_BLOCK, budget // 16))
+        small = _layout(size, n, min(_SMALL_BLOCK, budget // 16))
         passes.insert(0, (first or rows, itertools.islice(_in_spread_order(*small), 2)))
     classes = [range(count)]
     for rows_of, blocks in passes:
@@ -491,26 +496,22 @@ def _rows(m, k, p, combos, small):
     return level.reshape(len(level), -1, width)[:, combos].reshape(len(level), -1)
 
 
-def _whole(m, n):
-    """Domains for a sweep over all |S|^n tuples."""
-    return [np.arange(len(m), dtype=m.table.dtype)] * n
-
-
 def satisfies(m, law):
     """Exhaustive check of a law over all |S|^n tuples, early exit.  Blocks
     are read in lexicographic order, so the counterexample is the first one;
     they start at _SMALL_BLOCK tuples and double up to _BLOCK_ELEMENTS, so an
     early counterexample costs a small sweep, and a law that holds reads
-    every tuple once."""
-    domains = _whole(m, law.arity)
-    table, lhs, rhs = m.table, law.lhs, law.rhs
-    for block in _growing_blocks(domains, _SMALL_BLOCK, _BLOCK_ELEMENTS):
+    every tuple once.  A trivial law holds with no sweep."""
+    if law.is_trivial:
+        return LawCheck(law, True)
+    size, n, table, lhs, rhs = len(m), law.arity, m.table, law.lhs, law.rhs
+    for block in _growing_blocks(size, n, _SMALL_BLOCK, _BLOCK_ELEMENTS):
         prefix_vars, lo, _ = block
-        axes = _block_axes(domains, *block)
+        axes = _block_axes(size, n, *block)
         mismatch = _tree_values(table, lhs, axes) != _tree_values(table, rhs, axes)
         if mismatch.any():
             at = np.unravel_index(int(np.argmax(mismatch)), mismatch.shape)
-            prefix = np.unravel_index(lo + int(at[0]), (len(m),) * prefix_vars)
+            prefix = np.unravel_index(lo + int(at[0]), (size,) * prefix_vars)
             names = tuple(m.elements[int(i)] for i in (*prefix, *at[1:]))
             return LawCheck(
                 law,
@@ -569,8 +570,7 @@ def _holding_tuples(m, law, images):
     them inside every product of images.  Raises BudgetExceeded before it
     allocates when |S|^n or len(images)^n passes EVALUATION_GUARD."""
     n, table, lhs, rhs = law.arity, m.table, law.lhs, law.rhs
-    domains = _whole(m, n)
-    lead, _ = _layout(domains, _PARTITION_BLOCK)
+    lead, _ = _layout(len(m), n, _PARTITION_BLOCK)
     # the sweep reads |S|^n tuples and sums its counts in a float grid of
     # one cell per tuple of images
     for base, what in ((len(m), "tuples"), (len(images), "image tuples")):
@@ -580,9 +580,9 @@ def _holding_tuples(m, law, images):
                 f"exceeds guard {EVALUATION_GUARD}"
             )
     member = np.array([np.isin(np.arange(len(m)), image) for image in images], float)
-    trailing = list(np.ix_(*domains[lead:]))
+    trailing = list(np.ix_(*[range(len(m))] * (n - lead)))
     counts = 0
-    for prefix in itertools.product(*domains[:lead]):
+    for prefix in itertools.product(range(len(m)), repeat=lead):
         axes = [*prefix, *trailing]
         grid = 1.0 * (_tree_values(table, lhs, axes) != _tree_values(table, rhs, axes))
         for _ in range(n - lead):
@@ -600,10 +600,11 @@ def satisfies_eventually(m, law, *, carets=None):
 
     An expansion grafts the same tree T_j at leaf j of both sides, so it
     holds iff the law holds on the product of the images Im(T_j).  Every
-    image contains the derived core D, the last level of the derived chain
-    (the sandwich of is_solvable), and a complete tree of the chain's depth
-    has image D, so some expansion holds iff the law holds on D^n; if not,
-    the kind is "never".  Otherwise the witness is the tuple of images on
+    image contains m.core (the sandwich of is_solvable), and a complete
+    tree of the chain's depth has image m.core, so some expansion holds iff
+    the law holds on the core, as the two sides' partition of its whole
+    space decides; if not, the kind is "never".  A trivial law holds on the
+    nose.  Otherwise the witness is the tuple of images on
     whose product the law holds that is least by total carets
     (_least_trees), then by grafted word: the first least witness that a
     breadth-first walk of rewriting.expansion_frontier meets.
@@ -615,18 +616,17 @@ def satisfies_eventually(m, law, *, carets=None):
     """
     if carets is not None and carets < 0:
         raise ValueError(f"caret budget must be >= 0, got {carets}")
-    core = np.array(
-        [m.index(x) for x in derived_chain(m).subsets[-1]], dtype=m.table.dtype
-    )
-    domains = [core] * law.arity
+    if law.is_trivial:
+        return EventualResult("holds", law, ExpansionWord())
+    core, n = m.core, law.arity
 
     def rows(*block):
-        axes = _block_axes(domains, *block)
-        return [_tree_values(m.table, t, axes) for t in (law.lhs, law.rhs)]
+        axes = _block_axes(len(core), n, *block)
+        return [_tree_values(core.table, t, axes) for t in (law.lhs, law.rhs)]
 
-    if not _partition(rows, 2, domains):
+    if not _partition(rows, 2, len(core), n):
         return EventualResult("never", law)
-    if len(core) == len(m):
+    if core is m:
         # the only image is S: the law holds on the nose
         return EventualResult("holds", law, ExpansionWord())
     least = _least_trees(m.table, carets)
@@ -648,18 +648,17 @@ def derived_chain(m):
 
 
 def is_solvable(m):
-    """Witness (zero, depth, complete tree) if some D_k is a singleton.
+    """Witness (zero, depth, complete tree) if the core is a singleton.
 
     The chain decides solvability because the image of any tree operation is
     sandwiched: D_{max leaf depth} ⊆ image ⊆ D_{min leaf depth}, so a
-    constant-image tree exists iff the chain reaches a singleton, and then
-    the complete tree of that depth is a witness.
+    constant-image tree exists iff the chain reaches a singleton, its last
+    set, and then the complete tree of the chain's depth is a witness.
     """
-    chain = derived_chain(m)
-    depth = chain.solvable_depth
-    if depth is None:
+    if len(m.core) != 1:
         return None
-    zero = chain.subsets[depth][0]
+    depth = len(derived_chain(m).subsets) - 1
+    zero = m.core.elements[0]
     return SolvabilityWitness(zero=zero, depth=depth, tree=trees.complete_tree(depth))
 
 
@@ -729,7 +728,7 @@ def search_laws(m, n):
     def rows(prefix_vars, lo, hi, small=False):
         return _joined(m, n, prefix_vars, range(lo, hi), small)
 
-    classes = _partition(rows, n_trees, _whole(m, n), partial(rows, small=True))
+    classes = _partition(rows, n_trees, size, n, partial(rows, small=True))
     count = sum(math.comb(len(c), 2) for c in classes)
     if count > LAW_GUARD:
         raise BudgetExceeded(f"{count} laws of arity {n} exceed guard {LAW_GUARD}")

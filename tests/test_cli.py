@@ -446,6 +446,16 @@ def test_a_sweep_at_36_leaves_still_answers(capsys):
     assert (code, out) == (0, f"fails at ({'1, ' * 35}a): c != b\n")
 
 
+@pytest.mark.parametrize(
+    "action,answer", [("check", "holds"), ("eventual", "holds on the nose")]
+)
+def test_a_trivial_law_answers_with_no_sweep(action, answer, capsys):
+    # the 6-leaf left comb on both sides: a sweep would read 60^6 tuples
+    comb = "(((((. .) .) .) .) .)"
+    argv = ["magma", action, "fixtures/a5_commutator.magma", f"{comb} = {comb}"]
+    assert run_capture(argv, capsys) == (0, answer + "\n")
+
+
 def test_a_witness_sweep_past_the_guard_exits_3(capsys):
     # the 30-leaf comb law holds on s3_commutator's one-element core; its
     # witness sweep would read 6^30 tuples into a 3^30 grid

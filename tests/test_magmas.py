@@ -54,14 +54,14 @@ magma_strategy = st.tuples(st.integers(2, 4), st.integers(0, 2**31)).map(
 )
 
 
-def law_strategy(max_arity):
+def law_strategy(max_arity, min_arity=2):
     def build(draw_tuple):
         arity, i, j = draw_tuple
         shapes = trees.enumerate_trees(arity)
         return Law(shapes[i % len(shapes)], shapes[j % len(shapes)])
 
     return st.tuples(
-        st.integers(2, max_arity), st.integers(0, 100), st.integers(0, 100)
+        st.integers(min_arity, max_arity), st.integers(0, 100), st.integers(0, 100)
     ).map(build)
 
 
@@ -316,21 +316,16 @@ def test_growing_blocks_keep_the_first_counterexample(m, law, start, extra):
     assert check.counterexample == (None if expected is None else expected[0])
 
 
-@given(
-    st.lists(st.integers(1, 7), min_size=1, max_size=5),
-    st.integers(1, 50),
-    st.integers(0, 400),
-)
-def test_growing_blocks_tile_the_space_in_order(sizes, start, extra):
-    domains = [np.arange(k) for k in sizes]
+@given(st.integers(1, 7), st.integers(1, 5), st.integers(1, 50), st.integers(0, 400))
+def test_growing_blocks_tile_the_space_in_order(size, n, start, extra):
     pos = 0
-    for prefix_vars, lo, hi in magmas._growing_blocks(domains, start, start + extra):
-        width = math.prod(sizes[prefix_vars:])
+    for prefix_vars, lo, hi in magmas._growing_blocks(size, n, start, start + extra):
+        width = size ** (n - prefix_vars)
         assert lo * width == pos and hi > lo
-        assert hi <= math.prod(sizes[:prefix_vars])
-        assert (hi - lo) * width <= max(start + extra, sizes[-1])
+        assert hi <= size**prefix_vars
+        assert (hi - lo) * width <= max(start + extra, size)
         pos = hi * width
-    assert pos == math.prod(sizes)
+    assert pos == size**n
 
 
 @given(magma_strategy, law_strategy(4))
@@ -519,6 +514,53 @@ def test_shortcut_agrees_with_direct_on_surjective_tables(seed, law):
     res = satisfies_eventually(m, law)
     direct = satisfies(m, law)
     assert res.holds == direct.holds
+
+
+# --- the derived core ---------------------------------------------------------------------
+
+
+@given(small_tables(5))
+def test_the_core_is_a_magma_that_op_maps_onto_itself(m):
+    core = m.core
+    kept = set(core.elements)
+    # names keep their order, and the table is m's restricted to the core
+    assert core.elements == tuple(x for x in m.elements if x in kept)
+    products = {(x, y): m.op(x, y) for x in core.elements for y in core.elements}
+    assert set(products.values()) == kept
+    assert all(core.op(x, y) == z for (x, y), z in products.items())
+    assert (core is m) == (derived_chain(m).sizes == (len(m),))
+    assert core.core is core
+
+
+def fails_on_the_core(m, law):
+    """Whether the law fails somewhere on the last set of m's derived chain,
+    read off an oracle grid of m's own table over that set's elements."""
+    core = np.array([m.index(x) for x in derived_chain(m).subsets[-1]])
+    n = law.arity
+    axes = list(core[np.indices((len(core),) * n).reshape(n, -1)])
+    lhs, rhs = (magmas._tree_values(m.table, t, axes) for t in (law.lhs, law.rhs))
+    return not np.array_equal(lhs, rhs)
+
+
+# A cap of 0 carets keeps the witness sweep to the one image S, so no grid
+# of image tuples is built; "never" is decided before the cap is read.
+@settings(max_examples=80)
+@given(small_tables(5), law_strategy(6, min_arity=3))
+def test_never_means_the_law_fails_on_the_core(m, law):
+    res = satisfies_eventually(m, law, carets=0)
+    assert (res.kind == "never") == fails_on_the_core(m, law)
+
+
+@settings(max_examples=40)
+@given(small_tables(4), st.integers(1, 5))
+def test_the_core_search_lists_the_laws_that_hold_eventually(m, n):
+    shapes = trees.enumerate_trees(n)
+    eventual = tuple(
+        Law(shapes[i], shapes[j])
+        for i, j in itertools.combinations(range(len(shapes)), 2)
+        if satisfies_eventually(m, Law(shapes[i], shapes[j]), carets=0).kind != "never"
+    )
+    assert search_laws(m.core, n) == eventual
 
 
 # --- structure detectors ------------------------------------------------------------------
@@ -753,7 +795,7 @@ def test_search_refines_across_many_blocks(builtins, monkeypatch):
         for block in (7, 64):
             monkeypatch.setattr(magmas, "_BLOCK_ELEMENTS", block)
             per_tree = block // len(trees.enumerate_trees(n))
-            assert len(magmas._layout(magmas._whole(m, n), per_tree)[1]) > 1
+            assert len(magmas._layout(len(m), n, per_tree)[1]) > 1
             assert search_laws(m, n) == expected, (name, block)
 
 
@@ -776,8 +818,7 @@ def fresh(m):
 
 def block_values(m, n, prefix_vars, lo, hi):
     """Every n-leaf tree's values on a _layout block, one row per tree."""
-    domains = magmas._whole(m, n)
-    axes = magmas._block_axes(domains, prefix_vars, lo, hi)
+    axes = magmas._block_axes(len(m), n, prefix_vars, lo, hi)
     return [magmas._tree_values(m.table, t, axes).ravel() for t in trees.enumerate_trees(n)]
 
 
@@ -795,7 +836,7 @@ def test_level_rows_are_the_tree_values(m, n, block, small):
         assert np.array_equal(magmas._level(store, k), expected)
     # at most |S|^3 blocks, so both branches of _joined run, in few calls
     block *= len(m) ** max(0, n - 3)
-    prefix_vars, starts = magmas._layout(magmas._whole(m, n), block)
+    prefix_vars, starts = magmas._layout(len(m), n, block)
     # one leaf has no split: search_laws answers n = 1 with no law
     for lo in starts if n > 1 else ():
         hi = min(lo + starts.step, starts.stop)
@@ -906,7 +947,7 @@ def test_top_rows_on_a_table_of_two_byte_entries():
     table = np.random.default_rng(3).integers(0, size, (size, size))
     m = Magma([str(i) for i in range(size)], table)
     assert m.table.dtype == np.uint16
-    prefix_vars, starts = magmas._layout(magmas._whole(m, 3), magmas._PARTITION_BLOCK)
+    prefix_vars, starts = magmas._layout(len(m), 3, magmas._PARTITION_BLOCK)
     assert prefix_vars == 2
     for lo in (starts[0], starts[-1]):
         hi = min(lo + starts.step, starts.stop)
@@ -917,7 +958,9 @@ def test_top_rows_on_a_table_of_two_byte_entries():
 
 def test_core_check_parts_a_power_of_two_product_in_a_few_blocks(builtins, monkeypatch):
     # pre_sl2 x Z_16: 64 elements, core = S, and the five-variable law fails
-    # on few tuples; a bit-reversed block order read 4,163 of 16,384 blocks
+    # on few tuples; a bit-reversed block order read 4,163 of 16,384 blocks.
+    # On a5_commutator (core = S too) satisfies' lexicographic sweep reads
+    # 12 growing blocks before its first counterexample.
     pre = builtins["pre_sl2"]
     cyclic = np.add.outer(np.arange(16), np.arange(16)) % 16
     table = np.add.outer(pre.table.astype(int) * 16, cyclic).transpose(0, 2, 1, 3)
@@ -927,8 +970,11 @@ def test_core_check_parts_a_power_of_two_product_in_a_few_blocks(builtins, monke
     monkeypatch.setattr(
         magmas, "_block_axes", lambda *block: read.append(block) or block_axes(*block)
     )
-    assert satisfies_eventually(m, five_variable_law()).kind == "never"
-    assert 1 <= len(read) <= 8
+    for table in (m, builtins["a5_commutator"]):
+        read.clear()
+        assert table.core is table
+        assert satisfies_eventually(table, five_variable_law()).kind == "never"
+        assert 1 <= len(read) <= 8
 
 
 @contextlib.contextmanager
@@ -948,71 +994,61 @@ def small_blocks(small):
     st.integers(0, 2**31),
     st.integers(5, 12),
 )
-# five variables of up to 5 elements, in blocks of up to 80 tuples after two
-# of up to 5
+# five variables of 5 elements, in blocks of 75 tuples after two of 5
 @example(table_of([[0, 1, 0, 2, 0]] * 5), 5, 1, 5)
 def test_partition_matches_grouping_by_value_vectors(m, n, seed, small):
     gen = random.Random(seed)
     shapes = [random_tree(gen, n) for _ in range(gen.randint(1, 5))]
     # a repeated tree keeps one class to the end: the sweep reads every block
     shapes.append(shapes[0])
-    # each variable ranges over its own subset, as the core check's do
-    domains = [
-        np.array(sorted(gen.sample(range(len(m)), gen.randint(1, len(m)))), m.table.dtype)
-        for _ in range(n)
-    ]
 
     def rows(*block):
-        axes = magmas._block_axes(domains, *block)
+        axes = magmas._block_axes(len(m), n, *block)
         return [magmas._tree_values(m.table, t, axes).ravel() for t in shapes]
 
     with small_blocks(small):
-        classes = magmas._partition(rows, len(shapes), domains)
-    grid = list(np.ix_(*domains))
+        classes = magmas._partition(rows, len(shapes), len(m), n)
     groups = defaultdict(list)
     for i, t in enumerate(shapes):
-        groups[magmas._tree_values(m.table, t, grid).tobytes()].append(i)
+        groups[oracle_grid(m, t).tobytes()].append(i)
     expected = [g for g in groups.values() if len(g) > 1]
     assert sorted(map(list, classes)) == sorted(expected)
 
 
 @settings(max_examples=40)
-@given(st.integers(2, 6), st.integers(2, 5), st.integers(6, 12))
+@given(st.integers(2, 6), st.integers(3, 5), st.integers(6, 12))
 # 6^5 tuples: 108 blocks of 72, after two of the 1,296 blocks of 6
 @example(6, 5, 6)
 def test_a_sweep_where_every_law_holds_rereads_at_most_an_eighth(size, n, small):
     # on a cyclic group every law of equal leaf count holds, so each sweep
-    # runs to the end
+    # runs to the end; from three leaves on, the law is not trivial, which
+    # would hold with no sweep
     m = zoo.cyclic_addition(size)
     shapes = trees.enumerate_trees(n)
     law = Law(shapes[0], shapes[-1])
     read = []
     block_axes, joined = magmas._block_axes, magmas._joined
 
-    def count(domains, prefix_vars, lo, hi):
-        read.append((hi - lo) * math.prod(len(d) for d in domains[prefix_vars:]))
+    def axes_read(*block):
+        # a block's tuples: the size of its leaf arrays' broadcast shape
+        axes = block_axes(*block)
+        read.append(math.prod(np.broadcast_shapes(*(np.shape(a) for a in axes))))
+        return axes
 
-    with small_blocks(small), pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            magmas,
-            "_block_axes",
-            lambda domains, *block: count(domains, *block) or block_axes(domains, *block),
-        )
+    def rows_read(store, k, p, combos, small):
         # the search's blocks are its n-leaf rows; the lower levels it
         # joins are not tuples read
-        patch.setattr(
-            magmas,
-            "_joined",
-            lambda store, k, p, combos, small: (
-                k == n and count([m.table] * n, p, combos.start, combos.stop)
-            )
-            or joined(store, k, p, combos, small),
-        )
+        if k == n:
+            read.append(len(combos) * size ** (n - p))
+        return joined(store, k, p, combos, small)
+
+    with small_blocks(small), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(magmas, "_block_axes", axes_read)
+        patch.setattr(magmas, "_joined", rows_read)
         sweeps = [
             lambda: satisfies(m, law),
             lambda: satisfies_eventually(m, law),
-            # one tree of two leaves parts from nothing: that search stops
-            *([lambda: search_laws(m, n)] if n > 2 else []),
+            lambda: search_laws(m, n),
         ]
         totals = []
         for sweep in sweeps:
